@@ -7,6 +7,11 @@ axis (maximum amplification factor rho*), the nonstiff factor
 rho~ = rho(L(U-I)) governing q -> 0, the stiff limit rho_inf = rho(U-I) = 0
 (U - I is nilpotent), and averaged factors measuring the contraction after a
 finite number mu of iterations, in the infinity norm.
+
+The axis scans are batched: iteration_matrix takes an array of q and returns
+the (N, s, s) stack of Z(q), spectral_radius and the averaged norm reduce
+over the last axes, and the grid is evaluated in fixed blocks of _BLOCK
+points. Every value is bit for bit the one a scalar q gives.
 """
 from __future__ import annotations
 
@@ -29,6 +34,8 @@ __all__ = [
 # imaginary-axis scan: below 1e-3 the linear regime rho ~ rho~ * x applies,
 # above 1e4 Z is within o(1e-4) of its q -> inf limit for the shipped d_s
 _GRID = np.logspace(-3.0, 4.0, 2000)
+# grid points per batched evaluation: bounds the (N, s, s) temporaries
+_BLOCK = 250
 
 
 @dataclass(frozen=True)
@@ -42,22 +49,28 @@ class AmplificationReport:
 
 
 def iteration_matrix(q, data):
-    """Z(q) = q (I - q L)^{-1} L (U - I)."""
+    """Z(q) = q (I - q L)^{-1} L (U - I); for an array of N values of q, the
+    (N, s, s) stack of Z."""
     L, U = data.L, data.U
     s = data.s
+    q = np.asarray(q)[..., None, None]
     M = np.eye(s) - q * L
     return q * np.linalg.solve(M, L @ (U - np.eye(s)))
 
 
 def spectral_radius(M):
-    """Largest eigenvalue modulus of a square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    """Largest eigenvalue modulus of a square matrix; for an (N, s, s) stack,
+    the array of N radii."""
+    r = np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
+    return float(r) if r.ndim == 0 else r
 
 
 def _maximize_on_axis(f):
     """max of f over x in _GRID, refined by golden-section around the best
-    gridpoint to relative tolerance 1e-10. Returns (max, argmax)."""
-    vals = np.array([f(x) for x in _GRID])
+    gridpoint to relative tolerance 1e-10. Returns (max, argmax).
+
+    f maps an array of x to the array of values and a float to a float."""
+    vals = np.concatenate([f(_GRID[i:i + _BLOCK]) for i in range(0, len(_GRID), _BLOCK)])
     i = int(np.argmax(vals))
     lo = _GRID[max(i - 1, 0)]
     hi = _GRID[min(i + 1, len(_GRID) - 1)]
@@ -95,14 +108,20 @@ def averaged_factors(data, mu):
         raise ValueError(f"mu must be positive, got {mu}")
     s = data.s
     I = np.eye(s)
-
-    def avg_norm(M):
-        return float(np.linalg.norm(np.linalg.matrix_power(M, mu), np.inf) ** (1.0 / mu))
-
-    star, _ = _maximize_on_axis(lambda x: avg_norm(iteration_matrix(1j * x, data)))
-    tilde = avg_norm(data.L @ (data.U - I))
-    stiff = avg_norm(data.U - I)
+    star, _ = _maximize_on_axis(lambda x: _averaged_norm(iteration_matrix(1j * x, data), mu))
+    tilde = _averaged_norm(data.L @ (data.U - I), mu)
+    stiff = _averaged_norm(data.U - I, mu)
     return star, tilde, stiff
+
+
+def _averaged_norm(M, mu):
+    """||M^mu||_inf^(1/mu); for an (N, s, s) stack, the array of N values.
+
+    float_power calls C pow per element, as ** does on a float; ** on an
+    array may round differently."""
+    r = np.max(np.sum(np.abs(np.linalg.matrix_power(M, mu)), axis=-1), axis=-1)
+    r = np.float_power(r, 1.0 / mu)
+    return float(r) if r.ndim == 0 else r
 
 
 def amplification_report(data, mus=(1, 2, 3)):

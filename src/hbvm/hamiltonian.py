@@ -6,6 +6,11 @@ never materialized as a matrix; see apply_J.
 
 Gradients and Hessians are hand-derived; the test suite validates them
 against central finite differences of H (resp. of the gradient).
+
+A system may declare stacked_grad=True: its grad then also accepts a (k, 2m)
+stack of states and returns the (k, 2m) stack of their gradients, row by
+row, so the solvers evaluate all k stages in one call. The flag is optional;
+without it the solvers call grad once per stage.
 """
 from __future__ import annotations
 
@@ -27,7 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """A canonical Hamiltonian system of dimension 2m (m positions, m momenta)."""
+    """A canonical Hamiltonian system of dimension 2m (m positions, m momenta).
+
+    stacked_grad declares that grad maps a (k, 2m) stack of states row by
+    row, bit for bit as k separate calls would.
+    """
 
     m: int
     H: Callable[[np.ndarray], float]
@@ -35,6 +44,7 @@ class HamiltonianSystem:
     hess: Callable[[np.ndarray], np.ndarray]
     y0: np.ndarray
     label: str
+    stacked_grad: bool = False
 
     @property
     def dim(self):
@@ -42,9 +52,10 @@ class HamiltonianSystem:
 
 
 def apply_J(v):
-    """J v = (v_{m+1..2m}, -v_{1..m}) for the canonical J."""
-    m = len(v) // 2
-    return np.concatenate([v[m:], -v[:m]])
+    """J v = (v_{m+1..2m}, -v_{1..m}) for the canonical J; a (k, 2m) stack
+    is mapped row by row."""
+    m = v.shape[-1] // 2
+    return np.concatenate([v[..., m:], -v[..., :m]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -73,14 +84,15 @@ def charged_particle(mass=1.0, charge=-1.0, b0=1.0):
     rho = sqrt(x^2 + y^2), a = charge * b0. Positions (x, y, z) first, then
     the momenta (x', y', z'). The potential is singular on the z-axis; states
     with rho < 1e-8 are rejected (the benchmark trajectory stays near
-    rho = 10, so this only flags programming errors).
+    rho = 10, so this only flags programming errors). grad also maps a
+    (k, 6) stack of states row by row.
     """
     a = charge * b0
 
     def _uvw(state):
-        x, y, z, px, py, pz = state
+        x, y, px, py, pz = (state[..., i] for i in (0, 1, 3, 4, 5))
         r2 = x * x + y * y
-        if r2 < 1e-16:
+        if np.any(r2 < 1e-16):
             raise ValueError("charged particle state on the z-axis: rho ~ 0")
         u = px - a * x / r2
         v = py - a * y / r2
@@ -93,17 +105,20 @@ def charged_particle(mass=1.0, charge=-1.0, b0=1.0):
 
     def grad(state):
         x, y, r2, u, v, w = _uvw(state)
-        ax = (y * y - x * x) / r2**2   # d(x/r2)/dx
-        ay = -2.0 * x * y / r2**2      # d(x/r2)/dy
-        bx = ay                        # d(y/r2)/dx
-        by = -ax                       # d(y/r2)/dy
-        g = np.empty(6)
-        g[0] = (-a * (u * ax + v * bx) + a * w * x / r2) / mass
-        g[1] = (-a * (u * ay + v * by) + a * w * y / r2) / mass
-        g[2] = 0.0
-        g[3] = u / mass
-        g[4] = v / mass
-        g[5] = w / mass
+        # C pow per element, as for a single state: on arrays, ** 2 squares,
+        # which can differ from pow in the last bit
+        r4 = np.float_power(r2, 2)
+        ax = (y * y - x * x) / r4  # d(x/r2)/dx
+        ay = -2.0 * x * y / r4     # d(x/r2)/dy
+        bx = ay                    # d(y/r2)/dx
+        by = -ax                   # d(y/r2)/dy
+        g = np.empty(np.shape(state))
+        g[..., 0] = (-a * (u * ax + v * bx) + a * w * x / r2) / mass
+        g[..., 1] = (-a * (u * ay + v * by) + a * w * y / r2) / mass
+        g[..., 2] = 0.0
+        g[..., 3] = u / mass
+        g[..., 4] = v / mass
+        g[..., 5] = w / mass
         return g
 
     def hess(state):
@@ -134,7 +149,7 @@ def charged_particle(mass=1.0, charge=-1.0, b0=1.0):
 
     y0 = np.array([0.5, 10.0, 0.0, -0.1, -0.3, 0.0])
     return HamiltonianSystem(m=3, H=H, grad=grad, hess=hess, y0=y0,
-                             label="charged-particle")
+                             label="charged-particle", stacked_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,7 @@ def fpu_modified():
             + sum_{i=0..n} (q_{2i+1} - q_{2i})^4,  q_0 = q_{2n+1} = 0,
     with w_1..w_3 = w_5..w_7 = 10 and w_4 = 1e4. Start: p = 0,
     q_i = (i-1)/(2n-1). H is a quartic polynomial, so HBVM(2s,s) conserves
-    it exactly.
+    it exactly. grad also maps a (k, 28) stack of states row by row.
     """
     n = 7
     dim_q = 2 * n
@@ -159,11 +174,12 @@ def fpu_modified():
     even = np.arange(1, dim_q, 2)  # indices of q_{2i}
 
     def _split(state):
-        return state[:dim_q], state[dim_q:]
+        return state[..., :dim_q], state[..., dim_q:]
 
     def _ext(q):
         # q with the q_0 = q_{2n+1} = 0 boundary values attached
-        return np.concatenate([[0.0], q, [0.0]])
+        zero = np.zeros(q.shape[:-1] + (1,))
+        return np.concatenate([zero, q, zero], axis=-1)
 
     def H(state):
         q, p = _split(state)
@@ -174,18 +190,18 @@ def fpu_modified():
 
     def grad(state):
         q, p = _split(state)
-        g_q = np.zeros(dim_q)
-        springs = 0.5 * w2 * (q[even] - q[odd])
-        g_q[odd] -= springs
-        g_q[even] += springs
+        g_q = np.zeros(q.shape)
+        springs = 0.5 * w2 * (q[..., even] - q[..., odd])
+        g_q[..., odd] -= springs
+        g_q[..., even] += springs
         qe = _ext(q)
-        cubes = 4.0 * (qe[1::2] - qe[0::2]) ** 3  # i = 0..n
+        cubes = 4.0 * (qe[..., 1::2] - qe[..., 0::2]) ** 3  # i = 0..n
         # term i couples q_{2i+1} (+) and q_{2i} (-); boundary entries drop
-        g_quart = np.zeros(dim_q + 2)
-        g_quart[1::2] += cubes
-        g_quart[0::2] -= cubes
-        g_q += g_quart[1:-1]
-        return np.concatenate([g_q, p])
+        g_quart = np.zeros(qe.shape)
+        g_quart[..., 1::2] += cubes
+        g_quart[..., 0::2] -= cubes
+        g_q += g_quart[..., 1:-1]
+        return np.concatenate([g_q, p], axis=-1)
 
     def hess(state):
         q, _ = _split(state)
@@ -213,7 +229,7 @@ def fpu_modified():
     q0 = (np.arange(1, dim_q + 1) - 1.0) / (dim_q - 1.0)
     y0 = np.concatenate([q0, np.zeros(dim_q)])
     return HamiltonianSystem(m=dim_q, H=H, grad=grad, hess=hess, y0=y0,
-                             label="fpu")
+                             label="fpu", stacked_grad=True)
 
 
 def harmonic_oscillator(omega=1.0):

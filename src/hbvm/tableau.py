@@ -27,6 +27,8 @@ class HbvmTableau:
     Ps1: np.ndarray    # k x (s+1)
     Xhat: np.ndarray   # (s+1) x s
     Omega: np.ndarray  # k x k diagonal
+    W: np.ndarray      # k x s, P_{s+1} Xhat: stage values from gamma
+    M: np.ndarray      # s x k, P_s^T Omega: gamma from stage slopes
 
     @property
     def c(self):
@@ -80,5 +82,8 @@ def build_tableau(k, s):
     Ps1 = _basis_matrix(rule.nodes, s + 1)
     Xhat = build_Xhat(s)
     Omega = np.diag(rule.weights)
-    A = Ps1 @ Xhat @ Ps.T @ Omega
-    return HbvmTableau(k=k, s=s, rule=rule, A=A, Ps=Ps, Ps1=Ps1, Xhat=Xhat, Omega=Omega)
+    W = Ps1 @ Xhat
+    A = W @ Ps.T @ Omega
+    M = Ps.T * rule.weights  # == Ps.T @ Omega
+    return HbvmTableau(k=k, s=s, rule=rule, A=A, Ps=Ps, Ps1=Ps1, Xhat=Xhat, Omega=Omega,
+                       W=W, M=M)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hbvm.convergence import (
+    _averaged_norm,
     amplification_report,
     averaged_factors,
     iteration_matrix,
@@ -40,6 +41,25 @@ def test_iteration_matrix_stiff_limit(s, splittings):
 def test_iteration_matrix_bounded_by_rho_star(splittings):
     Z = iteration_matrix(1j, splittings[2])
     assert spectral_radius(Z) <= 0.1340 + 5e-4
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_batched_scan_matches_scalar_bitwise(s, splittings):
+    data = splittings[s]
+    x = np.logspace(-3.0, 4.0, 300)
+    Z = iteration_matrix(1j * x, data)
+    assert Z.shape == (300, s, s)
+    assert np.array_equal(Z, np.array([iteration_matrix(1j * xi, data) for xi in x]))
+    r = spectral_radius(Z)
+    assert r.shape == (300,)
+    assert np.array_equal(r, [spectral_radius(iteration_matrix(1j * xi, data)) for xi in x])
+    for mu in (1, 2, 3):
+        a = _averaged_norm(Z, mu)
+        assert np.array_equal(a, [_averaged_norm(iteration_matrix(1j * xi, data), mu) for xi in x])
+
+
+def test_spectral_radius_of_single_matrix_is_a_float():
+    assert isinstance(spectral_radius(np.eye(3)), float)
 
 
 def test_spectral_radius_identity():

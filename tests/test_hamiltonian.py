@@ -51,6 +51,42 @@ def test_energy_is_invariant_of_the_field():
             assert sysm.grad(y) @ vector_field(sysm, y) == pytest.approx(0.0, abs=1e-8)
 
 
+def test_apply_J_maps_a_stack_row_by_row():
+    V = RNG.standard_normal((5, 8))
+    assert np.array_equal(apply_J(V), np.array([apply_J(v) for v in V]))
+
+
+# ---------------------------------------------------------------------------
+# stacked gradients: a (k, 2m) stack maps row by row, bit for bit
+
+@pytest.mark.parametrize("make", [charged_particle, fpu_modified])
+# a few thousand rows catch last-bit differences (such as ** 2 squaring on
+# arrays where one state calls pow) that 1 <= k <= 10 rarely hits
+@pytest.mark.parametrize("k", [*range(1, 11), 4000])
+def test_stacked_grad_equals_row_by_row(make, k):
+    sysm = make()
+    assert sysm.stacked_grad
+    rng = np.random.default_rng(k)
+    for spread in (1e-3, 0.3, 3.0):
+        Y = sysm.y0 + spread * rng.standard_normal((k, sysm.dim))
+        G = sysm.grad(Y)
+        assert G.shape == (k, sysm.dim)
+        assert np.array_equal(G, np.array([sysm.grad(y) for y in Y]))
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_stacked_charged_grad_rejects_any_row_on_axis(row):
+    sysm = charged_particle()
+    Y = sysm.y0 + 0.1 * RNG.standard_normal((7, 6))
+    Y[row, :2] = 0.0
+    with pytest.raises(ValueError, match="z-axis"):
+        sysm.grad(Y)
+
+
+def test_stacked_grad_is_opt_in():
+    assert not harmonic_oscillator().stacked_grad
+
+
 # ---------------------------------------------------------------------------
 # charged particle
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,29 @@ def test_nonconvergence_truncates_and_records_time():
     assert not stats.all_converged
     assert stats.failed_at is not None and stats.failed_at < 1.0
     assert traj.times[-1] <= stats.failed_at + 5e-4 + 1e-12
+
+
+def _nan_gradient_below(q_min):
+    """Harmonic oscillator whose gradient is NaN once q drops below q_min."""
+    base = harmonic_oscillator()
+
+    def grad(y):
+        g = base.grad(y)
+        return g if y[0] >= q_min else np.full_like(g, np.nan)
+
+    return dataclasses.replace(base, grad=grad, label="nan-gradient")
+
+
+@pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])
+def test_nonfinite_gradient_ends_run_as_a_result(solver):
+    # q = cos t crosses 0.5 at t = pi/3: the step from t = 1.0 has NaN stages
+    cfg = RunConfig(system=_nan_gradient_below(0.5), k=4, s=2, h=0.1, t_end=3.0,
+                    options=SolveOptions(solver=solver))
+    traj, stats = integrate(cfg)
+    assert not stats.all_converged
+    assert stats.failed_at == pytest.approx(0.1 * stats.steps)
+    assert 0.5 < stats.failed_at <= 1.0 + 1e-12
+    assert np.all(np.isfinite(traj.states))
 
 
 def test_newton_like_counts_factorizations():

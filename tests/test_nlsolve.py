@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hbvm.nlsolve import (
     StageProblem,
     factor_step_matrix,
     fixed_point_solve,
+    lu_solve as getrs_solve,
     residual_F,
     simplified_newton_solve,
     solve,
@@ -43,6 +46,40 @@ def linear_stage_oracle(p):
     A = np.eye(s * n) - p.h * np.kron(M @ W, JQ)
     rhs = np.kron(M @ np.ones(t.k), JQ @ p.y0_step)
     return np.linalg.solve(A, rhs).reshape(s, n)
+
+
+@pytest.mark.parametrize("make,k,s,h", [(charged_particle, 6, 2, 0.1), (fpu_modified, 6, 3, 0.05)])
+def test_residual_with_stacked_grad_matches_per_row_fallback(make, k, s, h):
+    stacked = make()
+    row_grad = stacked.grad
+
+    def grad(y):
+        assert y.ndim == 1, "fallback must call grad one stage at a time"
+        return row_grad(y)
+
+    rows = dataclasses.replace(stacked, grad=grad, stacked_grad=False)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        gamma = rng.standard_normal((s, stacked.dim))
+        F_stacked = residual_F(_problem(stacked, k, s, h), gamma)
+        F_rows = residual_F(_problem(rows, k, s, h), gamma)
+        assert np.array_equal(F_stacked, F_rows)
+
+
+def test_stage_maps_are_cached_on_the_tableau():
+    t = build_tableau(6, 3)
+    assert np.array_equal(t.W, t.Ps1 @ t.Xhat)
+    assert np.array_equal(t.M, t.Ps.T * t.rule.weights)
+    assert np.array_equal(t.A, t.Ps1 @ t.Xhat @ t.Ps.T @ t.Omega)
+
+
+def test_lu_solve_matches_scipy_and_passes_nonfinite_through():
+    sysm = fpu_modified()
+    fac = factor_step_matrix(0.1, 0.3, sysm.hess(sysm.y0))
+    b = np.random.default_rng(5).standard_normal(28)
+    assert np.array_equal(getrs_solve(fac, b), lu_solve(fac, b))
+    b[3] = np.nan
+    assert not np.all(np.isfinite(getrs_solve(fac, b)))
 
 
 def test_stage_problem_validation():

@@ -77,7 +77,6 @@ def integrate(cfg):
     tab = build_tableau(cfg.k, cfg.s)
     opts = cfg.options
     data = build_splitting(cfg.s) if opts.solver == "splitting" else None
-    newton_like = opts.solver in ("simplified_newton", "splitting")
 
     n_steps = int(np.ceil(cfg.t_end / cfg.h - 1e-12))
     y = np.array(sysm.y0, dtype=float)
@@ -92,9 +91,8 @@ def integrate(cfg):
         stats.total_outer_iterations += res.outer_iterations
         stats.total_inner_iterations += res.inner_iterations_total
         stats.gradient_evaluations += cfg.k * res.residual_evaluations
-        if newton_like:
-            stats.hessian_evaluations += 1
-            stats.factorizations += 1
+        stats.hessian_evaluations += res.hessian_evaluations
+        stats.factorizations += res.factorizations
         if not res.converged:
             stats.all_converged = False
             stats.failed_at = (n - 1) * cfg.h

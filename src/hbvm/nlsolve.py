@@ -8,9 +8,12 @@ The stages are Y = y0 + h (P_{s+1} Xhat) gamma and the residual is
 
 Solvers:
   * fixed_point_solve      -- plain functional iteration (nonstiff only)
-  * simplified_newton_solve -- full simplified Newton, factoring the
-    2sm x 2sm matrix I - h X_s (x) J hess H(y0) once per step; serves as
-    the convergence oracle for the splitting
+  * simplified_newton_solve -- full simplified Newton with the frozen matrix
+    I - h X_s (x) B, B = J hess H(y0), block-diagonalised through the
+    eigenvectors of X_s: one real 2m x 2m LU of I - h lam B per real
+    eigenvalue lam (one for odd s, none for even s) and one complex one per
+    conjugate pair, ceil(s/2) in all; serves as the convergence oracle for
+    the splitting
   * splitting_solve        -- the inner-outer iteration in the transformed
     unknowns gammahat = Phat gamma, where every inner sweep is a block
     forward substitution against a single factored 2m x 2m matrix
@@ -19,10 +22,12 @@ Solvers:
 The hot path makes one call per stack where it can: the residual evaluates
 all k stage gradients in one grad call when the system declares
 stacked_grad (else one call per stage), the stage maps W = P_{s+1} Xhat and
-M = P_s^T Omega come precomputed with the tableau, and an inner sweep forms
-each B Dnew_j once and solves through LAPACK getrs directly. None of this
-changes a bit of the results. A non-finite gradient or correction is not an
-error: it ends the step with converged=False.
+M = P_s^T Omega and the eigendecomposition of X_s come precomputed with the
+tableau, Phat comes factored with the splitting data, and an inner sweep
+forms each B Dnew_j once and solves through LAPACK getrs directly. A
+non-finite gradient or correction is not an error: it ends the step with
+converged=False. Every SolveResult counts the Hessian evaluations and the
+factorizations its step made.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrs, zgetrs
 
 from .hamiltonian import HamiltonianSystem, apply_J
 from .splitting import SplittingData
@@ -83,6 +88,8 @@ class SolveResult:
     converged: bool
     residual_norm: float
     residual_evaluations: int = 0
+    hessian_evaluations: int = 0
+    factorizations: int = 0
 
 
 def lu_solve(fac, b):
@@ -90,9 +97,11 @@ def lu_solve(fac, b):
 
     The LAPACK getrs call of scipy.linalg.lu_solve without its finiteness and
     shape checks: the same bits at a fraction of the overhead, and a
-    non-finite b gives a non-finite x instead of an exception.
+    non-finite b gives a non-finite x instead of an exception. A complex
+    factor is solved by zgetrs, a real one by dgetrs.
     """
-    x, info = dgetrs(fac[0], fac[1], b)
+    getrs = zgetrs if np.iscomplexobj(fac[0]) else dgetrs
+    x, info = getrs(fac[0], fac[1], b)
     if info:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
@@ -154,23 +163,44 @@ def _J_times(M):
 
 
 def simplified_newton_solve(p, opts=SolveOptions()):
-    """Full simplified Newton: [I - h X_s (x) J hess H(y0)] Delta = -F."""
-    from .tableau import leading_Xs
+    """Full simplified Newton: [I - h X_s (x) B] Delta = -F, B = J hess H(y0).
 
-    s, n = p.tableau.s, p.system.dim
-    B = _J_times(p.system.hess(p.y0_step))
-    M0 = np.eye(s * n) - p.h * np.kron(leading_Xs(s), B)
-    fac = lu_factor(M0)
-    gamma = np.zeros((s, n))
+    With X_s = V diag(lam) V^{-1} the system splits into
+    (I - h lam_j B) z_j = -(V^{-1} F)_j and Delta = sum_j V_j z_j^T; only one
+    eigenvalue of each conjugate pair is solved for (see XsEigen).
+    """
+    eig = p.tableau.eig
+    facs = _newton_factors(eig, p.h, _J_times(p.system.hess(p.y0_step)))
+    gamma = np.zeros((p.tableau.s, p.system.dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _newton_loop(p, opts, fac, gamma)
+        res = _newton_loop(p, opts, eig, facs, gamma)
+    res.hessian_evaluations, res.factorizations = 1, len(facs)
+    return res
 
 
-def _newton_loop(p, opts, fac, gamma):
-    s, n = gamma.shape
+def _newton_factors(eig, h, B):
+    """LU factors of I - h lam_j B for the kept eigenvalues; real for real lam."""
+    eye = np.eye(B.shape[0])
+    return [lu_factor(eye - (h * (lam.real if real else lam)) * B)
+            for lam, real in zip(eig.lam, eig.real)]
+
+
+def _newton_correction(eig, facs, F):
+    """Delta with Delta - h X_s Delta B^T = -F, from the factored blocks."""
+    R = eig.Vinv @ F
+    delta = np.zeros(F.shape)
+    for v, r, real, fac in zip(eig.V.T, R, eig.real, facs):
+        if real:
+            delta += np.outer(v.real, lu_solve(fac, -r.real))
+        else:
+            delta += 2.0 * np.outer(v, lu_solve(fac, -r)).real
+    return delta
+
+
+def _newton_loop(p, opts, eig, facs, gamma):
     for it in range(1, opts.max_outer + 1):
         F = residual_F(p, gamma)
-        delta = lu_solve(fac, -F.ravel()).reshape(s, n)
+        delta = _newton_correction(eig, facs, F)
         gamma = gamma + delta
         if not np.all(np.isfinite(gamma)):
             return SolveResult(gamma, it, 0, False, np.inf, it)
@@ -199,10 +229,12 @@ def splitting_solve(p, data, opts=SolveOptions()):
         raise ValueError(f"splitting data is for s={data.s}, tableau has s={s}")
     B = _J_times(p.system.hess(p.y0_step))
     fac = factor_step_matrix(p.h, data.d, p.system.hess(p.y0_step))
-    L, U, Phat = data.L, data.U, data.Phat
+    L, U = data.L, data.U
     T = L @ (U - np.eye(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _splitting_loop(p, opts, fac, B, L, T, Phat, p.h)
+        res = _splitting_loop(p, opts, fac, B, L, T, data, p.h)
+    res.hessian_evaluations, res.factorizations = 2, 1
+    return res
 
 
 def _inner_sweep(fac, B, L, rhs, h):
@@ -218,12 +250,13 @@ def _inner_sweep(fac, B, L, rhs, h):
     return Dnew
 
 
-def _splitting_loop(p, opts, fac, B, L, T, Phat, h):
+def _splitting_loop(p, opts, fac, B, L, T, data, h):
     s, n = p.tableau.s, p.system.dim
+    Phat, Phat_lu = data.Phat, data.Phat_lu
     ghat = np.zeros((s, n))
     inner_total = 0
     for it in range(1, opts.max_outer + 1):
-        gamma = np.linalg.solve(Phat, ghat)
+        gamma = lu_solve(Phat_lu, ghat)
         eta = -(Phat @ residual_F(p, gamma))
         D = np.zeros((s, n))
         for _ in range(opts.mu):
@@ -231,11 +264,11 @@ def _splitting_loop(p, opts, fac, B, L, T, Phat, h):
             inner_total += 1
         ghat = ghat + D
         if not np.all(np.isfinite(ghat)):
-            return SolveResult(np.linalg.solve(Phat, ghat), it, inner_total, False, np.inf, it)
+            return SolveResult(lu_solve(Phat_lu, ghat), it, inner_total, False, np.inf, it)
         if _stop(D, ghat, opts.tol):
-            gamma = np.linalg.solve(Phat, ghat)
+            gamma = lu_solve(Phat_lu, ghat)
             return SolveResult(gamma, it, inner_total, True, float(np.max(np.abs(D))), it)
-    gamma = np.linalg.solve(Phat, ghat)
+    gamma = lu_solve(Phat_lu, ghat)
     return SolveResult(gamma, opts.max_outer, inner_total, False, float(np.max(np.abs(D))), opts.max_outer)
 
 

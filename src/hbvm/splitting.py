@@ -11,9 +11,10 @@ not -- see verify_conditions).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor
 
 from .polybasis import legendre_eval
 from .tableau import det_Xs, leading_Xs
@@ -61,6 +62,10 @@ class SplittingData:
     L: np.ndarray     # lower triangular, constant diagonal d
     U: np.ndarray     # unit upper triangular
     d: float
+    Phat_lu: tuple = field(init=False, repr=False)  # lu_factor(Phat), made once
+
+    def __post_init__(self):
+        object.__setattr__(self, "Phat_lu", lu_factor(self.Phat))
 
 
 def d_s(s):

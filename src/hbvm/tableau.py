@@ -4,7 +4,8 @@ The Runge-Kutta matrix is A = P_{s+1} Xhat_s P_s^T Omega, where P_r collects
 the orthonormal Legendre basis evaluated at the k Gauss nodes, Xhat_s is a
 tridiagonal-plus-last-row matrix built from the xi_i coefficients and Omega
 is the diagonal matrix of quadrature weights. For k = s this reduces to the
-classical s-stage Gauss-Legendre collocation method.
+classical s-stage Gauss-Legendre collocation method. The tableau also carries
+the eigendecomposition of X_s that block-diagonalises simplified Newton.
 """
 from __future__ import annotations
 
@@ -14,7 +15,24 @@ import numpy as np
 
 from .polybasis import QuadratureRule, gauss_rule, legendre_eval, xi
 
-__all__ = ["HbvmTableau", "xi", "build_Xhat", "leading_Xs", "det_Xs", "build_tableau"]
+__all__ = ["HbvmTableau", "XsEigen", "xi", "build_Xhat", "leading_Xs", "xs_eigen", "det_Xs",
+           "build_tableau"]
+
+
+@dataclass(frozen=True)
+class XsEigen:
+    """X_s = V diag(lam) V^{-1}, keeping one eigenvalue of each conjugate pair.
+
+    The real eigenvalues come first. X_s is real, so the dropped partner of a
+    kept complex lam_j has eigenvector conj(V_j) and row conj(Vinv_j) of
+    V^{-1}. A sum of terms V_j z_j over all eigenvalues, with z_j conjugated
+    along with lam_j, is the sum over the real ones plus 2 Re of the sum over
+    the pairs.
+    """
+    lam: np.ndarray   # r = ceil(s/2) kept eigenvalues, complex
+    V: np.ndarray     # s x r: their columns of V
+    Vinv: np.ndarray  # r x s: the matching rows of V^{-1}
+    real: np.ndarray  # r flags: lam_j is real
 
 
 @dataclass(frozen=True)
@@ -29,6 +47,7 @@ class HbvmTableau:
     Omega: np.ndarray  # k x k diagonal
     W: np.ndarray      # k x s, P_{s+1} Xhat: stage values from gamma
     M: np.ndarray      # s x k, P_s^T Omega: gamma from stage slopes
+    eig: XsEigen       # eigendecomposition of X_s, for simplified Newton
 
     @property
     def c(self):
@@ -56,6 +75,18 @@ def build_Xhat(s):
 def leading_Xs(s):
     """Leading s x s block X_s of Xhat_s."""
     return build_Xhat(s)[:s, :]
+
+
+def xs_eigen(s):
+    """The XsEigen of X_s; V^{-1} is inverted from the full V with the pair
+    partners set to exact conjugates, so the kept rows pair up exactly too."""
+    lam, V = np.linalg.eig(leading_Xs(s))
+    lam, V = lam.astype(complex), V.astype(complex)
+    real = lam.imag == 0  # LAPACK's geev returns exact zeros for real eigenvalues
+    keep = np.concatenate([np.flatnonzero(real), np.flatnonzero(lam.imag > 0)])
+    Vk, nreal = V[:, keep], int(real.sum())
+    Vinv = np.linalg.inv(np.hstack([Vk, Vk[:, nreal:].conj()]))[:len(keep)]
+    return XsEigen(lam=lam[keep], V=Vk, Vinv=Vinv, real=real[keep])
 
 
 def det_Xs(s):
@@ -86,4 +117,4 @@ def build_tableau(k, s):
     A = W @ Ps.T @ Omega
     M = Ps.T * rule.weights  # == Ps.T @ Omega
     return HbvmTableau(k=k, s=s, rule=rule, A=A, Ps=Ps, Ps1=Ps1, Xhat=Xhat, Omega=Omega,
-                       W=W, M=M)
+                       W=W, M=M, eig=xs_eigen(s))

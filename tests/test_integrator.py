@@ -103,11 +103,25 @@ def test_nonfinite_gradient_ends_run_as_a_result(solver):
 
 
 def test_newton_like_counts_factorizations():
+    # the splitting evaluates the Hessian twice per step and factors once
     cfg = RunConfig(system=charged_particle(), k=4, s=2, h=0.1, t_end=1.0,
                     options=SolveOptions(solver="splitting"))
     _, stats = integrate(cfg)
-    assert stats.factorizations == stats.steps == stats.hessian_evaluations == 10
+    assert stats.factorizations == stats.steps == 10
+    assert stats.hessian_evaluations == 2 * stats.steps
     assert stats.total_inner_iterations == 2 * stats.total_outer_iterations
+
+
+@pytest.mark.parametrize("solver,hess,factors",
+                         [("simplified_newton", 1, 2), ("fixed_point", 0, 0)])
+def test_counters_sum_what_each_step_did(solver, hess, factors):
+    # simplified Newton at s = 3: one real and one complex block per step
+    cfg = RunConfig(system=charged_particle(), k=6, s=3, h=0.1, t_end=0.5,
+                    options=SolveOptions(solver=solver))
+    _, stats = integrate(cfg)
+    assert stats.steps == 5
+    assert stats.hessian_evaluations == hess * stats.steps
+    assert stats.factorizations == factors * stats.steps
 
 
 def test_solution_error_aligned_grids():

@@ -3,10 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hbvm.hamiltonian import apply_J, charged_particle, fpu_modified, harmonic_oscillator
+from hbvm.hamiltonian import (
+    HamiltonianSystem,
+    apply_J,
+    charged_particle,
+    fpu_modified,
+    harmonic_oscillator,
+)
+from hbvm.integrator import RunConfig, integrate
 from hbvm.nlsolve import (
     SolveOptions,
     StageProblem,
+    _newton_correction,
+    _newton_factors,
     factor_step_matrix,
     fixed_point_solve,
     lu_solve as getrs_solve,
@@ -17,9 +26,9 @@ from hbvm.nlsolve import (
     stages_from_gamma,
 )
 from hbvm.splitting import build_splitting
-from hbvm.tableau import build_tableau
+from hbvm.tableau import build_tableau, leading_Xs
 
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 
 def _problem(system, k, s, h, y0=None):
@@ -80,6 +89,53 @@ def test_lu_solve_matches_scipy_and_passes_nonfinite_through():
     assert np.array_equal(getrs_solve(fac, b), lu_solve(fac, b))
     b[3] = np.nan
     assert not np.all(np.isfinite(getrs_solve(fac, b)))
+
+
+def test_complex_lu_solve_matches_scipy_and_passes_nonfinite_through():
+    rng = np.random.default_rng(6)
+    A = np.eye(10) - (0.1 + 0.3j) * rng.standard_normal((10, 10))
+    fac = lu_factor(A)
+    b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    assert np.array_equal(getrs_solve(fac, b), lu_solve(fac, b))
+    b[3] = np.nan
+    assert not np.all(np.isfinite(getrs_solve(fac, b)))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_cached_eigendecomposition_reproduces_Xs(s):
+    e = build_tableau(s, s).eig
+    assert len(e.lam) == (s + 1) // 2
+    assert np.array_equal(e.real, e.lam.imag == 0)
+    assert np.all(e.lam[~e.real].imag > 0)
+    # X_s = sum_j lam_j V_j Vinv_j, the dropped partners adding the conjugates
+    terms = e.lam[:, None, None] * e.V.T[:, :, None] * e.Vinv[:, None, :]
+    X = terms[e.real].sum(axis=0).real + 2.0 * terms[~e.real].sum(axis=0).real
+    assert np.max(np.abs(X - leading_Xs(s))) < 1e-14
+    assert np.max(np.abs(e.Vinv @ e.V - np.eye(len(e.lam)))) < 1e-13
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_block_diagonal_correction_matches_kron_solve(s, m):
+    rng = np.random.default_rng([s, m])
+    e = build_tableau(s, s).eig
+    n = 2 * m
+    for h in (0.1, 1.0):
+        B = rng.standard_normal((n, n))
+        F = rng.standard_normal((s, n))
+        dense = np.linalg.solve(np.eye(s * n) - h * np.kron(leading_Xs(s), B),
+                                -F.ravel()).reshape(s, n)
+        delta = _newton_correction(e, _newton_factors(e, h, B), F)
+        assert np.max(np.abs(delta - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_newton_factors_ceil_half_s_blocks_per_step(s):
+    p = _problem(charged_particle(), 2 * s, s, 0.05)
+    res = simplified_newton_solve(p, SolveOptions())
+    assert res.converged
+    assert res.factorizations == (s + 1) // 2
+    assert res.hessian_evaluations == 1
 
 
 def test_stage_problem_validation():
@@ -223,3 +279,47 @@ def test_gamma0_advances_state_toward_exact_flow():
     y1 = p.y0_step + h * res.gamma[0]
     exact = np.array([np.cos(h), -np.sin(h)])
     assert np.linalg.norm(y1 - exact) < 5.0 * h**3
+
+
+def _fpu_type_chain(n, rng):
+    """n stiff spring pairs (frequencies in [10, 15)) coupled by quartic soft
+    springs, fixed ends, m = 2n: a quartic H with a dense 2m x 2m Hessian."""
+    m = 2 * n
+    w2 = (10.0 + 5.0 * rng.random(n)) ** 2
+    D = np.zeros((m + 1, m))  # rows: soft-spring elongations q_{i+1} - q_i
+    D[np.arange(m), np.arange(m)] = 1.0
+    D[np.arange(1, m + 1), np.arange(m)] -= 1.0
+    soft = np.arange(0, m + 1, 2)
+    S = D[soft]          # soft springs between the pairs and at the walls
+    K = D[1:-1:2]        # stiff springs inside the pairs
+
+    def H(y):
+        q, p = y[:m], y[m:]
+        return 0.5 * p @ p + 0.5 * np.sum(w2 * (K @ q) ** 2) + np.sum((S @ q) ** 4)
+
+    def grad(y):
+        q = y[:m]
+        return np.concatenate([K.T @ (w2 * (K @ q)) + S.T @ (4.0 * (S @ q) ** 3), y[m:]])
+
+    def hess(y):
+        q = y[:m]
+        out = np.eye(2 * m)
+        out[:m, :m] = K.T @ (w2[:, None] * K) + S.T @ (12.0 * (S @ q)[:, None] ** 2 * S)
+        return out
+
+    q0 = np.arange(m) / (m - 1.0) + 0.05 * rng.standard_normal(m)
+    return HamiltonianSystem(m=m, H=H, grad=grad, hess=hess,
+                             y0=np.concatenate([q0, np.zeros(m)]), label=f"chain-m{m}")
+
+
+def test_splitting_and_newton_agree_on_a_large_chain():
+    sysm = _fpu_type_chain(32, np.random.default_rng(2013))
+    finals = {}
+    for solver in ("splitting", "simplified_newton"):
+        traj, st = integrate(RunConfig(system=sysm, k=6, s=3, h=0.1, t_end=0.4,
+                                       options=SolveOptions(solver=solver), store_every=0))
+        assert st.all_converged and st.steps == 4
+        assert st.max_hamiltonian_error <= 1e-10 * abs(sysm.H(sysm.y0))
+        finals[solver] = traj.states[-1]
+    nw = finals["simplified_newton"]
+    assert np.max(np.abs(finals["splitting"] - nw)) <= 1e-10 * (1.0 + np.max(np.abs(nw)))

@@ -13,7 +13,6 @@ from .convergence import (
 )
 from .hamiltonian import (
     HamiltonianSystem,
-    SymplecticJ,
     apply_J,
     charged_particle,
     fpu_modified,

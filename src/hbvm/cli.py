@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -181,15 +180,7 @@ def cmd_sweep(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    def work(cfg):
-        _, stats, _ = _run_one(cfg)
-        return _stats_row(cfg, stats)
-
-    if args.jobs > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(work, configs))  # merged in spec order
-    else:
-        rows = [work(cfg) for cfg in configs]
+    rows = [_stats_row(cfg, _run_one(cfg)[1]) for cfg in configs]
     _write(args.out, STATS_HEADER + "\n" + "".join(r + "\n" for r in rows))
     return 0
 
@@ -261,7 +252,6 @@ def build_parser():
     sw = sub.add_parser("sweep", help="run all [run] blocks of a spec file, one "
                                       "stats row each")
     sw.add_argument("spec")
-    sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
     return p

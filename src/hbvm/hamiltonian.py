@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "HamiltonianSystem",
-    "SymplecticJ",
     "apply_J",
     "vector_field",
     "charged_particle",
@@ -53,19 +52,9 @@ class HamiltonianSystem:
 
 def apply_J(v):
     """J v = (v_{m+1..2m}, -v_{1..m}) for the canonical J; a (k, 2m) stack
-    is mapped row by row."""
+    is mapped row by row, so the matrix product J M is apply_J(M.T).T."""
     m = v.shape[-1] // 2
     return np.concatenate([v[..., m:], -v[..., :m]], axis=-1)
-
-
-@dataclass(frozen=True)
-class SymplecticJ:
-    """The canonical symplectic matrix as an action, J^2 = -I, J^T = -J."""
-
-    m: int
-
-    def __call__(self, v):
-        return apply_J(v)
 
 
 def vector_field(sys, y):

@@ -195,8 +195,8 @@ def composition6_stormer_verlet(system, h, t_end, store_every=1):
         return system.grad(np.concatenate([q, np.zeros(m)]))[:m]
 
     for n in range(1, n_steps + 1):
-        # blowup overflows before the norm check below; it is recorded as
-        # divergence, not raised as an arithmetic error
+        # blowup overflows, in a substep or in the norm of a huge finite
+        # state; it is recorded as divergence, not raised as an arithmetic error
         with np.errstate(over="ignore", invalid="ignore"):
             for g in _COMPOSITION6:
                 hg = g * h
@@ -204,8 +204,9 @@ def composition6_stormer_verlet(system, h, t_end, store_every=1):
                 q = q + hg * p
                 p = p - 0.5 * hg * force(q)
                 stats.gradient_evaluations += 2
-        y = np.concatenate([q, p])
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_THRESHOLD:
+            y = np.concatenate([q, p])
+            blown_up = not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_THRESHOLD
+        if blown_up:
             stats.diverged = True
             stats.all_converged = False
             stats.failed_at = (n - 1) * h

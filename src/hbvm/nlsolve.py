@@ -6,18 +6,20 @@ The stages are Y = y0 + h (P_{s+1} Xhat) gamma and the residual is
 
     F(gamma) = gamma - (P_s^T Omega) [J grad H(Y_i)]_i.
 
-Solvers:
-  * fixed_point_solve      -- plain functional iteration (nonstiff only)
-  * simplified_newton_solve -- full simplified Newton with the frozen matrix
-    I - h X_s (x) B, B = J hess H(y0), block-diagonalised through the
-    eigenvectors of X_s: one real 2m x 2m LU of I - h lam B per real
-    eigenvalue lam (one for odd s, none for even s) and one complex one per
-    conjugate pair, ceil(s/2) in all; serves as the convergence oracle for
-    the splitting
-  * splitting_solve        -- the inner-outer iteration in the transformed
-    unknowns gammahat = Phat gamma, where every inner sweep is a block
-    forward substitution against a single factored 2m x 2m matrix
-    I - h d_s J hess H(y0).
+All three solvers run one outer iteration, _iterate: from zero, apply a
+step until the increment is small, the iterate stops being finite, or the
+cap is spent. A solver supplies only its step:
+  * fixed_point_solve      -- gamma <- (P_s^T Omega) [J grad H(Y_i)]_i, plain
+    functional iteration (nonstiff only), with a 10x larger cap
+  * simplified_newton_solve -- gamma <- gamma + Delta with the exact
+    correction of the frozen matrix I - h X_s (x) B, B = J hess H(y0),
+    block-diagonalised through the eigenvectors of X_s: one real 2m x 2m LU
+    of I - h lam B per real eigenvalue lam (one for odd s, none for even s)
+    and one complex one per conjugate pair, ceil(s/2) in all; serves as the
+    convergence oracle for the splitting
+  * splitting_solve        -- in the transformed unknowns gammahat = Phat
+    gamma, mu inner sweeps per step, each a block forward substitution
+    against a single factored 2m x 2m matrix I - h d_s J hess H(y0).
 
 The hot path makes one call per stack where it can: the residual evaluates
 all k stage gradients in one grad call when the system declares
@@ -31,7 +33,7 @@ factorizations its step made.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor
@@ -76,8 +78,8 @@ class SolveOptions:
     solver: str = "splitting"  # fixed_point | simplified_newton | splitting
 
     def __post_init__(self):
-        if self.tol <= 0 or self.mu < 1:
-            raise ValueError("require tol > 0 and mu >= 1")
+        if self.tol <= 0 or self.mu < 1 or self.max_outer < 1:
+            raise ValueError("require tol > 0, mu >= 1 and max_outer >= 1")
 
 
 @dataclass
@@ -129,37 +131,37 @@ def _stop(delta, gamma, tol):
     return np.max(np.abs(delta)) <= tol * (1.0 + np.max(np.abs(gamma)))
 
 
+def _iterate(p, opts, step, cap, out=lambda x: x):
+    """The outer iteration all three solvers share.
+
+    From x = 0 (an (s, 2m) array), x, delta = step(x) runs until delta is
+    small relative to x, x stops being finite, or cap iterations are spent;
+    out maps the final x to gamma. Divergence shows up as overflow before the
+    finiteness check trips; it is data (a *** table entry), not an
+    arithmetic error, and ends the step with converged=False.
+    """
+    x = np.zeros((p.tableau.s, p.system.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cap + 1):
+            x, delta = step(x)
+            if not np.all(np.isfinite(x)):
+                return SolveResult(out(x), it, 0, False, np.inf, it)
+            if _stop(delta, x, opts.tol):
+                return SolveResult(out(x), it, 0, True, float(np.max(np.abs(delta))), it)
+        return SolveResult(out(x), cap, 0, False, float(np.max(np.abs(delta))), cap)
+
+
 def fixed_point_solve(p, opts=SolveOptions()):
     """Functional iteration gamma <- map(gamma) from gamma = 0.
 
     Gets a 10x larger iteration cap than the Newton-type solvers;
     non-convergence is reported via converged=False, not an exception.
     """
-    s, n = p.tableau.s, p.system.dim
-    gamma = np.zeros((s, n))
-    cap = opts.max_outer * 10
-    # divergence shows up as overflow before the finiteness check trips;
-    # it is data (a *** table entry), not an arithmetic error
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _fixed_point_loop(p, opts, gamma, cap)
-
-
-def _fixed_point_loop(p, opts, gamma, cap):
-    for it in range(1, cap + 1):
+    def step(gamma):
         new = _gamma_image(p, gamma)
-        delta = new - gamma
-        gamma = new
-        if not np.all(np.isfinite(gamma)):
-            return SolveResult(gamma, it, 0, False, np.inf, it)
-        if _stop(delta, gamma, opts.tol):
-            return SolveResult(gamma, it, 0, True, float(np.max(np.abs(delta))), it)
-    return SolveResult(gamma, cap, 0, False, float(np.max(np.abs(delta))), cap)
+        return new, new - gamma
 
-
-def _J_times(M):
-    """J @ M for the canonical J, without forming J."""
-    m = M.shape[0] // 2
-    return np.vstack([M[m:], -M[:m]])
+    return _iterate(p, opts, step, 10 * opts.max_outer)
 
 
 def simplified_newton_solve(p, opts=SolveOptions()):
@@ -170,10 +172,13 @@ def simplified_newton_solve(p, opts=SolveOptions()):
     eigenvalue of each conjugate pair is solved for (see XsEigen).
     """
     eig = p.tableau.eig
-    facs = _newton_factors(eig, p.h, _J_times(p.system.hess(p.y0_step)))
-    gamma = np.zeros((p.tableau.s, p.system.dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _newton_loop(p, opts, eig, facs, gamma)
+    facs = _newton_factors(eig, p.h, apply_J(p.system.hess(p.y0_step).T).T)
+
+    def step(gamma):
+        delta = _newton_correction(eig, facs, residual_F(p, gamma))
+        return gamma + delta, delta
+
+    res = _iterate(p, opts, step, opts.max_outer)
     res.hessian_evaluations, res.factorizations = 1, len(facs)
     return res
 
@@ -197,22 +202,10 @@ def _newton_correction(eig, facs, F):
     return delta
 
 
-def _newton_loop(p, opts, eig, facs, gamma):
-    for it in range(1, opts.max_outer + 1):
-        F = residual_F(p, gamma)
-        delta = _newton_correction(eig, facs, F)
-        gamma = gamma + delta
-        if not np.all(np.isfinite(gamma)):
-            return SolveResult(gamma, it, 0, False, np.inf, it)
-        if _stop(delta, gamma, opts.tol):
-            return SolveResult(gamma, it, 0, True, float(np.max(np.abs(delta))), it)
-    return SolveResult(gamma, opts.max_outer, 0, False, float(np.max(np.abs(delta))), opts.max_outer)
-
-
 def factor_step_matrix(h, d, hess0):
     """Reusable LU factorization of I - h d J hess0 (2m x 2m, row pivoting)."""
     n = hess0.shape[0]
-    return lu_factor(np.eye(n) - h * d * _J_times(hess0))
+    return lu_factor(np.eye(n) - h * d * apply_J(hess0.T).T)
 
 
 def splitting_solve(p, data, opts=SolveOptions()):
@@ -224,15 +217,23 @@ def splitting_solve(p, data, opts=SolveOptions()):
     factored matrix I - h d_s B with B = J hess H(y0). The new step value is
     y1 = y0 + h gamma_0.
     """
-    s, n = p.tableau.s, p.system.dim
+    s, h = p.tableau.s, p.h
     if data.s != s:
         raise ValueError(f"splitting data is for s={data.s}, tableau has s={s}")
-    B = _J_times(p.system.hess(p.y0_step))
-    fac = factor_step_matrix(p.h, data.d, p.system.hess(p.y0_step))
-    L, U = data.L, data.U
-    T = L @ (U - np.eye(s))
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _splitting_loop(p, opts, fac, B, L, T, data, p.h)
+    B = apply_J(p.system.hess(p.y0_step).T).T
+    fac = factor_step_matrix(h, data.d, p.system.hess(p.y0_step))
+    L, Phat, Phat_lu = data.L, data.Phat, data.Phat_lu
+    T = L @ (data.U - np.eye(s))
+
+    def step(ghat):
+        eta = -(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
+        D = np.zeros_like(ghat)
+        for _ in range(opts.mu):
+            D = _inner_sweep(fac, B, L, h * ((T @ D) @ B.T) + eta, h)
+        return ghat + D, D
+
+    res = _iterate(p, opts, step, opts.max_outer, lambda ghat: lu_solve(Phat_lu, ghat))
+    res.inner_iterations_total = opts.mu * res.outer_iterations
     res.hessian_evaluations, res.factorizations = 2, 1
     return res
 
@@ -248,28 +249,6 @@ def _inner_sweep(fac, B, L, rhs, h):
         if i < s - 1:
             BD.append(B @ Dnew[i])
     return Dnew
-
-
-def _splitting_loop(p, opts, fac, B, L, T, data, h):
-    s, n = p.tableau.s, p.system.dim
-    Phat, Phat_lu = data.Phat, data.Phat_lu
-    ghat = np.zeros((s, n))
-    inner_total = 0
-    for it in range(1, opts.max_outer + 1):
-        gamma = lu_solve(Phat_lu, ghat)
-        eta = -(Phat @ residual_F(p, gamma))
-        D = np.zeros((s, n))
-        for _ in range(opts.mu):
-            D = _inner_sweep(fac, B, L, h * ((T @ D) @ B.T) + eta, h)
-            inner_total += 1
-        ghat = ghat + D
-        if not np.all(np.isfinite(ghat)):
-            return SolveResult(lu_solve(Phat_lu, ghat), it, inner_total, False, np.inf, it)
-        if _stop(D, ghat, opts.tol):
-            gamma = lu_solve(Phat_lu, ghat)
-            return SolveResult(gamma, it, inner_total, True, float(np.max(np.abs(D))), it)
-    gamma = lu_solve(Phat_lu, ghat)
-    return SolveResult(gamma, opts.max_outer, inner_total, False, float(np.max(np.abs(D))), opts.max_outer)
 
 
 def solve(p, opts=SolveOptions(), data=None):

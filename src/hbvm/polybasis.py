@@ -31,17 +31,22 @@ def xi(i):
     return 1.0 / (2.0 * np.sqrt(4.0 * i * i - 1.0))
 
 
-def _std_legendre_pair(n, t):
-    """Standard Legendre L_n(t) and L_n'(t) on [-1,1], elementwise in t."""
+def _legendre_recurrence(n, t):
+    """Standard Legendre L_n(t) and L_{n-1}(t) on [-1,1], elementwise in t,
+    by the three-term recurrence (L_{-1} = 0)."""
     t = np.asarray(t, dtype=float)
     p, pm1 = np.ones_like(t), np.zeros_like(t)
     for j in range(n):
         p, pm1 = ((2 * j + 1) * t * p - j * pm1) / (j + 1), p
-    if n == 0:
-        return p, np.zeros_like(t)
-    # (1 - t^2) L_n' = n (L_{n-1} - t L_n); safe here since Gauss nodes are interior
-    dp = n * (pm1 - t * p) / (1.0 - t * t)
-    return p, dp
+    return p, pm1
+
+
+def _std_legendre_pair(n, t):
+    """L_n(t) and L_n'(t) at interior points |t| < 1: the derivative formula
+    (1 - t^2) L_n' = n (L_{n-1} - t L_n) divides by zero at t = +-1, so it
+    serves the Gauss nodes only."""
+    p, pm1 = _legendre_recurrence(n, t)
+    return p, n * (pm1 - t * p) / (1.0 - t * t)
 
 
 def legendre_eval(j, x):
@@ -52,10 +57,7 @@ def legendre_eval(j, x):
     """
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    p, pm1 = np.ones_like(t), np.zeros_like(t)
-    for n in range(j):
-        p, pm1 = ((2 * n + 1) * t * p - n * pm1) / (n + 1), p
+    p, _ = _legendre_recurrence(j, 2.0 * np.asarray(x, dtype=float) - 1.0)
     out = np.sqrt(2.0 * j + 1.0) * p
     return out if out.ndim else float(out)
 

@@ -153,14 +153,11 @@ def test_sweep_runs_all_blocks(tmp_path, capsys):
     assert lines[2].startswith("hbvm,4,2")
 
 
-def test_sweep_deterministic_and_parallel_stable(tmp_path, capsys):
+def test_sweep_deterministic(tmp_path, capsys):
     spec = tmp_path / "sweep.txt"
     spec.write_text(SWEEP_SPEC)
-    outputs = []
-    for jobs in ("1", "1", "4"):
-        _, out, _ = run_cli(capsys, "sweep", str(spec), "--jobs", jobs)
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    outputs = [run_cli(capsys, "sweep", str(spec))[1].encode() for _ in range(2)]
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_malformed_spec(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ def test_composition6_linear_stability_window():
                                         store_every=0)[1]
     assert blown.diverged
     assert blown.failed_at is not None
+
+
+def test_composition6_divergence_emits_no_warning():
+    # at h = 5e-4 the chain blows up to a huge but finite state, whose norm
+    # overflows; that is recorded as divergence, not warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, stats = composition6_stormer_verlet(fpu_modified(), 5e-4, 10.0, store_every=0)
+    assert stats.diverged
 
 
 def test_composition6_rejects_nonseparable_hamiltonian():

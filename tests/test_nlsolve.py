@@ -152,6 +152,8 @@ def test_solve_options_validation():
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(mu=0)
+    with pytest.raises(ValueError):
+        SolveOptions(max_outer=0)
 
 
 def test_stages_are_affine_in_gamma():
@@ -223,6 +225,21 @@ def test_splitting_inner_count_is_mu_per_outer():
     p = _problem(charged_particle(), 4, 2, 0.1)
     res = splitting_solve(p, build_splitting(2), SolveOptions(mu=3))
     assert res.inner_iterations_total == 3 * res.outer_iterations
+
+
+@pytest.mark.parametrize("solver,max_outer,cap", [("fixed_point", 1, 10),
+                                                  ("simplified_newton", 2, 2),
+                                                  ("splitting", 2, 2)])
+def test_every_solver_stops_at_its_cap_with_a_finite_increment(solver, max_outer, cap):
+    # two Newton-type iterations cannot converge on the stiff chain, and ten
+    # fixed point iterations grow but stay finite
+    p = _problem(fpu_modified(), 6, 3, 0.01)
+    res = solve(p, SolveOptions(solver=solver, max_outer=max_outer, mu=3))
+    assert not res.converged
+    assert res.outer_iterations == cap
+    assert res.residual_evaluations == res.outer_iterations
+    assert res.inner_iterations_total == (3 * cap if solver == "splitting" else 0)
+    assert np.isfinite(res.residual_norm)
 
 
 def test_splitting_rejects_mismatched_data():

@@ -90,7 +90,7 @@ def integrate(cfg):
         res = solve(prob, opts, data=data)
         stats.total_outer_iterations += res.outer_iterations
         stats.total_inner_iterations += res.inner_iterations_total
-        stats.gradient_evaluations += cfg.k * res.residual_evaluations
+        stats.gradient_evaluations += res.gradient_evaluations
         stats.hessian_evaluations += res.hessian_evaluations
         stats.factorizations += res.factorizations
         if not res.converged:

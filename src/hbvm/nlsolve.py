@@ -21,6 +21,13 @@ cap is spent. A solver supplies only its step:
     gamma, mu inner sweeps per step, each a block forward substitution
     against a single factored 2m x 2m matrix I - h d_s J hess H(y0).
 
+Both factored matrices have the form I - c B, B = J hess H(y0). When the
+Hessian's momentum rows are exactly [0 | I] (H = |p|^2/2 + V(q), unit
+mass), I - c B = [[I, -c I], [c V'', I]] and the Schur complement leaves
+one m x m LU of S = I + c^2 V''; the factor is packed in scipy's lu_factor
+layout for the 2m matrix, so every solve stays one getrs call. Any other
+Hessian is factored densely, 2m x 2m with row pivoting.
+
 The hot path makes one call per stack where it can: the residual evaluates
 all k stage gradients in one grad call when the system declares
 stacked_grad (else one call per stage), the stage maps W = P_{s+1} Xhat and
@@ -28,8 +35,8 @@ M = P_s^T Omega and the eigendecomposition of X_s come precomputed with the
 tableau, Phat comes factored with the splitting data, and an inner sweep
 forms each B Dnew_j once and solves through LAPACK getrs directly. A
 non-finite gradient or correction is not an error: it ends the step with
-converged=False. Every SolveResult counts the Hessian evaluations and the
-factorizations its step made.
+converged=False. Every SolveResult counts the gradient and Hessian
+evaluations and the factorizations its step made.
 """
 from __future__ import annotations
 
@@ -84,12 +91,20 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """Outcome and work counts of one step's stage solve.
+
+    residual_norm is the max-norm of the last increment (of gamma, or of
+    gammahat for the splitting), not the norm of F(gamma); it is inf when the
+    iterate stopped being finite. gradient_evaluations counts grad calls: one
+    per residual for a stacked_grad system, else k.
+    """
     gamma: np.ndarray
     outer_iterations: int
     inner_iterations_total: int
     converged: bool
     residual_norm: float
     residual_evaluations: int = 0
+    gradient_evaluations: int = 0
     hessian_evaluations: int = 0
     factorizations: int = 0
 
@@ -140,15 +155,21 @@ def _iterate(p, opts, step, cap, out=lambda x: x):
     finiteness check trips; it is data (a *** table entry), not an
     arithmetic error, and ends the step with converged=False.
     """
+    grads_per_residual = 1 if p.system.stacked_grad else p.tableau.k
+
+    def result(x, it, converged, norm):
+        return SolveResult(out(x), it, 0, converged, norm, it,
+                           gradient_evaluations=grads_per_residual * it)
+
     x = np.zeros((p.tableau.s, p.system.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cap + 1):
             x, delta = step(x)
             if not np.all(np.isfinite(x)):
-                return SolveResult(out(x), it, 0, False, np.inf, it)
+                return result(x, it, False, np.inf)
             if _stop(delta, x, opts.tol):
-                return SolveResult(out(x), it, 0, True, float(np.max(np.abs(delta))), it)
-        return SolveResult(out(x), cap, 0, False, float(np.max(np.abs(delta))), cap)
+                return result(x, it, True, float(np.max(np.abs(delta))))
+        return result(x, cap, False, float(np.max(np.abs(delta))))
 
 
 def fixed_point_solve(p, opts=SolveOptions()):
@@ -172,7 +193,7 @@ def simplified_newton_solve(p, opts=SolveOptions()):
     eigenvalue of each conjugate pair is solved for (see XsEigen).
     """
     eig = p.tableau.eig
-    facs = _newton_factors(eig, p.h, apply_J(p.system.hess(p.y0_step).T).T)
+    facs = _newton_factors(eig, p.h, p.system.hess(p.y0_step))
 
     def step(gamma):
         delta = _newton_correction(eig, facs, residual_F(p, gamma))
@@ -183,11 +204,11 @@ def simplified_newton_solve(p, opts=SolveOptions()):
     return res
 
 
-def _newton_factors(eig, h, B):
-    """LU factors of I - h lam_j B for the kept eigenvalues; real for real lam."""
-    eye = np.eye(B.shape[0])
-    return [lu_factor(eye - (h * (lam.real if real else lam)) * B)
-            for lam, real in zip(eig.lam, eig.real)]
+def _newton_factors(eig, h, hess0):
+    """LU factors of I - h lam_j J hess0 for the kept eigenvalues; real for
+    real lam."""
+    return _step_factors(hess0, [h * (lam.real if real else lam)
+                                 for lam, real in zip(eig.lam, eig.real)])
 
 
 def _newton_correction(eig, facs, F):
@@ -203,9 +224,50 @@ def _newton_correction(eig, facs, F):
 
 
 def factor_step_matrix(h, d, hess0):
-    """Reusable LU factorization of I - h d J hess0 (2m x 2m, row pivoting)."""
+    """Reusable LU factorization (lu, piv) of the 2m x 2m matrix I - h d J hess0.
+
+    One m x m LU of I + (h d)^2 V'' when hess0 = [[V'', 0], [0, I]], else a
+    dense 2m x 2m LU with row pivoting; see _step_factors.
+    """
+    return _step_factors(hess0, [h * d])[0]
+
+
+def _step_factors(hess0, cs):
+    """LU factors (lu, piv) of I - c J hess0 for each c, in scipy's lu_factor
+    layout for the 2m x 2m matrix, complex for a complex c.
+
+    If the momentum rows and columns of hess0 are exactly [0 | I],
+    I - c J hess0 = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and with
+    P L_S U_S = S = I + c^2 V'' it factors as
+    diag(I, P) [[I, 0], [P^T c V'', L_S]] [[I, -c I], [0, U_S]]. Packed, that
+    is lu = [[I, -c I], [P^T c V'', LU_S]] with pivots [0..m-1, m + piv_S]:
+    one m x m LU per c. lu is Fortran-ordered, as getrs wants it, so a solve
+    does not copy it. The I block is the pivot without a row search: for
+    |c| <= 1 (c = h d_s or h lam_j, at most h/2 in modulus) the solves are
+    backward stable, beyond that their backward error grows like |c| eps.
+    Any other hess0 gets the dense lu_factor(I - c J hess0).
+    """
     n = hess0.shape[0]
-    return lu_factor(np.eye(n) - h * d * apply_J(hess0.T).T)
+    m = n // 2
+    if (np.any(hess0[m:, :m]) or np.any(hess0[:m, m:])
+            or not np.array_equal(hess0[m:, m:], np.eye(m))):
+        B = apply_J(hess0.T).T
+        return [lu_factor(np.eye(n) - c * B) for c in cs]
+    diag = np.arange(m)
+    facs = []
+    for c in cs:
+        cV = c * hess0[:m, :m]
+        lu_S, piv_S = lu_factor(np.eye(m) + c * cV)
+        rows = list(range(m))  # getrf's row interchanges, applied in order
+        for i, j in enumerate(piv_S.tolist()):
+            rows[i], rows[j] = rows[j], rows[i]
+        lu = np.zeros((n, n), dtype=lu_S.dtype, order="F")
+        lu[diag, diag] = 1.0
+        lu[diag, m + diag] = -c
+        lu[m:, :m] = cV[rows]
+        lu[m:, m:] = lu_S
+        facs.append((lu, np.concatenate([diag.astype(piv_S.dtype), m + piv_S])))
+    return facs
 
 
 def splitting_solve(p, data, opts=SolveOptions()):
@@ -227,8 +289,9 @@ def splitting_solve(p, data, opts=SolveOptions()):
 
     def step(ghat):
         eta = -(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
-        D = np.zeros_like(ghat)
-        for _ in range(opts.mu):
+        # the sweeps start from D = 0, so the first right-hand side is eta
+        D = _inner_sweep(fac, B, L, eta, h)
+        for _ in range(opts.mu - 1):
             D = _inner_sweep(fac, B, L, h * ((T @ D) @ B.T) + eta, h)
         return ghat + D, D
 

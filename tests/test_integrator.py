@@ -125,6 +125,39 @@ def test_counters_sum_what_each_step_did(solver, hess, factors):
     assert stats.factorizations == factors * stats.steps
 
 
+def _counting(system, stacked):
+    """The system with stacked_grad set as given and its grad and hess calls
+    counted in the returned dict."""
+    calls = {"grad": 0, "hess": 0}
+
+    def grad(y):
+        calls["grad"] += 1
+        return system.grad(y)
+
+    def hess(y):
+        calls["hess"] += 1
+        return system.hess(y)
+
+    return dataclasses.replace(system, grad=grad, hess=hess, stacked_grad=stacked), calls
+
+
+@pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])
+def test_gradient_and_hessian_counters_match_real_calls(solver):
+    # one grad call per residual on a stacked system, k on a per-row one
+    k = 6
+    grads = {}
+    for stacked in (True, False):
+        sysm, calls = _counting(charged_particle(), stacked)
+        cfg = RunConfig(system=sysm, k=k, s=2, h=0.1, t_end=0.5,
+                        options=SolveOptions(solver=solver))
+        _, stats = integrate(cfg)
+        assert stats.steps == 5
+        assert stats.gradient_evaluations == calls["grad"] > 0
+        assert stats.hessian_evaluations == calls["hess"]
+        grads[stacked] = calls["grad"]
+    assert grads[False] == k * grads[True]
+
+
 def test_solution_error_aligned_grids():
     t = np.linspace(0.0, 1.0, 11)
     ref = Trajectory(t, np.zeros((11, 2)))

@@ -125,7 +125,8 @@ def test_block_diagonal_correction_matches_kron_solve(s, m):
         F = rng.standard_normal((s, n))
         dense = np.linalg.solve(np.eye(s * n) - h * np.kron(leading_Xs(s), B),
                                 -F.ravel()).reshape(s, n)
-        delta = _newton_correction(e, _newton_factors(e, h, B), F)
+        hess0 = -apply_J(B.T).T  # J hess0 = B exactly: J only moves and negates
+        delta = _newton_correction(e, _newton_factors(e, h, hess0), F)
         assert np.max(np.abs(delta - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -227,6 +228,27 @@ def test_splitting_inner_count_is_mu_per_outer():
     assert res.inner_iterations_total == 3 * res.outer_iterations
 
 
+@pytest.mark.parametrize("make,k,s,h", [(charged_particle, 4, 2, 0.1), (fpu_modified, 6, 3, 0.05)])
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_first_outer_step_is_mu_dense_inner_sweeps_from_zero(make, k, s, h, mu):
+    # from gammahat = 0: eta = -Phat F(0), D_0 = 0 and
+    # [I - h L (x) B] D_{nu+1} = h L(U - I) (x) B D_nu + eta, solved densely
+    p = _problem(make(), k, s, h)
+    data = build_splitting(s)
+    B = apply_J(p.system.hess(p.y0_step).T).T
+    n = p.system.dim
+    eta = -(data.Phat @ residual_F(p, np.zeros((s, n)))).ravel()
+    A = np.eye(s * n) - h * np.kron(data.L, B)
+    R = h * np.kron(data.L @ (data.U - np.eye(s)), B)
+    D = np.zeros(s * n)
+    for _ in range(mu):
+        D = np.linalg.solve(A, R @ D + eta)
+    res = splitting_solve(p, data, SolveOptions(mu=mu, max_outer=1))
+    ref = np.linalg.solve(data.Phat, D.reshape(s, n))
+    # h ||B|| is about 5e6 on the stiff chain: both solves lose digits to it
+    assert np.max(np.abs(res.gamma - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("solver,max_outer,cap", [("fixed_point", 1, 10),
                                                   ("simplified_newton", 2, 2),
                                                   ("splitting", 2, 2)])
@@ -264,6 +286,97 @@ def test_factor_step_matrix_solves_shifted_system():
     x = lu_solve(fac, b)
     JH = np.vstack([hess0[3:], -hess0[:3]])
     assert (np.eye(6) - h * d * JH) @ x == pytest.approx(b, abs=1e-12)
+
+
+def _hess_at_y0(system):
+    return system.hess(system.y0)
+
+
+def _perturbed(hess, i, j, value):
+    out = hess.copy()
+    out[i, j] = value
+    return out
+
+
+@pytest.mark.parametrize("hess0,size", [
+    (_hess_at_y0(fpu_modified()), 14),
+    (_hess_at_y0(harmonic_oscillator(2.0)), 1),
+    (_hess_at_y0(charged_particle()), 6),
+    # one fpu entry off [0 | I] in the momentum rows or columns: dense
+    (_perturbed(_hess_at_y0(fpu_modified()), 0, 14, 1e-300), 28),
+    (_perturbed(_hess_at_y0(fpu_modified()), 14, 0, 1e-300), 28),
+    (_perturbed(_hess_at_y0(fpu_modified()), 15, 15, np.nextafter(1.0, 2.0)), 28),
+])
+def test_step_factor_is_m_by_m_exactly_for_unit_mass_separable_hessians(monkeypatch, hess0, size):
+    import hbvm.nlsolve
+
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", counting)
+    factor_step_matrix(0.1, 0.3, hess0)
+    e = build_tableau(6, 3).eig
+    _newton_factors(e, 0.1, hess0)
+    assert shapes == [(size, size)] * (1 + len(e.lam))
+
+
+@pytest.mark.parametrize("h", [0.1, 1.0])
+def test_dense_step_factor_is_scipys_lu_of_the_step_matrix(h):
+    hess0 = _hess_at_y0(charged_particle())
+    B = apply_J(hess0.T).T
+    e = build_tableau(6, 3).eig
+    cs = [h * 0.3] + [h * (lam.real if real else lam) for lam, real in zip(e.lam, e.real)]
+    facs = [factor_step_matrix(h, 0.3, hess0)] + _newton_factors(e, h, hess0)
+    for c, (lu, piv) in zip(cs, facs):
+        ref_lu, ref_piv = lu_factor(np.eye(6) - c * B)
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+
+
+@pytest.mark.parametrize("m", [1, 3, 14, 64])
+@pytest.mark.parametrize("h", [0.1, 1.0])
+@pytest.mark.parametrize("stiffness", [1e-3, 1.0, 1e6, 1e12])
+def test_structured_step_factor_is_backward_stable(m, h, stiffness):
+    # real c = h d_s and complex c = h lam_j, |c| <= h/2 (d_1 = lam_1 = 1/2);
+    # V'' random PSD with ||V''|| = 4 stiffness / h^2, so c^2 ||V''|| reaches
+    # stiffness
+    rng = np.random.default_rng([m, int(h * 10), int(np.log10(stiffness)) + 3])
+    A = rng.standard_normal((m, m))
+    Vqq = A @ A.T
+    Vqq *= 4.0 * stiffness / (h * h * np.linalg.norm(Vqq, 2))
+    hess0 = np.eye(2 * m)
+    hess0[:m, :m] = Vqq
+    B = apply_J(hess0.T).T
+    for s in (1, 2, 3, 6):
+        e = build_tableau(s, s).eig
+        facs = [factor_step_matrix(h, build_splitting(s).d, hess0)] + _newton_factors(e, h, hess0)
+        cs = [h * build_splitting(s).d] + [h * (lam.real if real else lam)
+                                           for lam, real in zip(e.lam, e.real)]
+        for c, fac in zip(cs, facs):
+            assert fac[0].flags.f_contiguous
+            assert fac[0].shape == (2 * m, 2 * m)
+            assert np.iscomplexobj(fac[0]) == np.iscomplexobj(c)
+            Ac = np.eye(2 * m) - c * B
+            b = rng.standard_normal(2 * m)
+            if np.iscomplexobj(c):
+                b = b + 1j * rng.standard_normal(2 * m)
+            for x in (lu_solve(fac, b), getrs_solve(fac, b)):
+                err = np.linalg.norm(Ac @ x - b, np.inf) / (
+                    np.linalg.norm(Ac, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
+                assert err <= 1e-13
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_structured_factor_keeps_factorization_counts(s):
+    p = _problem(fpu_modified(), 2 * s, s, 0.05)
+    split = splitting_solve(p, build_splitting(s), SolveOptions(mu=10))
+    newton = simplified_newton_solve(p, SolveOptions())
+    assert split.converged and newton.converged
+    assert split.factorizations == 1
+    assert newton.factorizations == (s + 1) // 2
+    assert np.max(np.abs(split.gamma - newton.gamma)) <= 1e-10 * (1.0 + np.max(np.abs(newton.gamma)))
 
 
 def test_one_step_conserves_quartic_energy_exactly():

@@ -260,12 +260,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "integrate" and (args.k < args.s or args.s < 1 or args.h <= 0):
-            print("error: require k >= s >= 1 and h > 0", file=sys.stderr)
-            return 2
-        if args.command in ("tableau",) and (args.k < args.s or args.s < 1):
-            print("error: require k >= s >= 1", file=sys.stderr)
-            return 2
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "HamiltonianSystem",
     "apply_J",
+    "separable_hessian",
     "vector_field",
     "charged_particle",
     "fpu_modified",
@@ -55,6 +56,14 @@ def apply_J(v):
     is mapped row by row, so the matrix product J M is apply_J(M.T).T."""
     m = v.shape[-1] // 2
     return np.concatenate([v[..., m:], -v[..., :m]], axis=-1)
+
+
+def separable_hessian(hess):
+    """True when the momentum rows and columns of hess are exactly [0 | I],
+    as for H = |p|^2/2 + V(q) (unit mass); no tolerance."""
+    m = hess.shape[0] // 2
+    return not np.any(hess[m:, :m]) and not np.any(hess[:m, m:]) \
+        and np.array_equal(hess[m:, m:], np.eye(m))
 
 
 def vector_field(sys, y):

@@ -3,6 +3,12 @@
 Also provides the explicit baseline: an order-6 symmetric composition of the
 Stoermer-Verlet map (9 substeps, 18 force evaluations per step) for separable
 Hamiltonians H = T(p) + V(q) with T = 1/2 |p|^2.
+
+Both integrators run one step loop, _march, which owns the step count, the
+energy error, the stored states and the failure time. Each supplies only
+advance(y, stats): it makes one step from y, adds the work that step did to
+stats and returns the new state, or None when the step failed (a stage solve
+that did not converge, a diverged composition step); the run then ends at y.
 """
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import HamiltonianSystem
+from .hamiltonian import HamiltonianSystem, separable_hessian
 from .nlsolve import SolveOptions, StageProblem, solve
 from .splitting import build_splitting
 from .tableau import build_tableau
@@ -73,43 +79,52 @@ def integrate(cfg):
     False and the failure time is recorded; this mirrors the way benchmark
     tables report '***' entries.
     """
-    sysm = cfg.system
+    sysm, h, opts = cfg.system, cfg.h, cfg.options
     tab = build_tableau(cfg.k, cfg.s)
-    opts = cfg.options
     data = build_splitting(cfg.s) if opts.solver == "splitting" else None
+    comp = np.zeros(sysm.dim)  # Kahan compensation for the state update
 
-    n_steps = int(np.ceil(cfg.t_end / cfg.h - 1e-12))
-    y = np.array(sysm.y0, dtype=float)
-    comp = np.zeros_like(y)  # Kahan compensation for the state update
-    H0 = sysm.H(y)
-    stats = RunStats()
-    times = [0.0]
-    states = [y.copy()]
-    for n in range(1, n_steps + 1):
-        prob = StageProblem(tab, sysm, y, cfg.h)
-        res = solve(prob, opts, data=data)
+    def advance(y, stats):
+        nonlocal comp
+        res = solve(StageProblem(tab, sysm, y, h), opts, data=data)
         stats.total_outer_iterations += res.outer_iterations
         stats.total_inner_iterations += res.inner_iterations_total
         stats.gradient_evaluations += res.gradient_evaluations
         stats.hessian_evaluations += res.hessian_evaluations
         stats.factorizations += res.factorizations
         if not res.converged:
-            stats.all_converged = False
-            stats.failed_at = (n - 1) * cfg.h
-            break
+            return None
         # compensated update: y += h*gamma_0 accumulates over many steps
-        incr = cfg.h * res.gamma[0] - comp
+        incr = h * res.gamma[0] - comp
         y_new = y + incr
         comp = (y_new - y) - incr
+        return y_new
+
+    return _march(sysm, h, cfg.t_end, cfg.store_every, advance, RunStats())
+
+
+def _march(system, h, t_end, store_every, advance, stats):
+    """ceil(t_end / h) calls of advance from y0 (the contract is in the module
+    docstring), storing every store_every-th state (0: the endpoints only)."""
+    n_steps = int(np.ceil(t_end / h - 1e-12))
+    y = np.array(system.y0, dtype=float)
+    H0 = system.H(y)
+    times, states = [0.0], [y.copy()]
+    for n in range(1, n_steps + 1):
+        y_new = advance(y, stats)
+        if y_new is None:
+            stats.all_converged = False
+            stats.failed_at = (n - 1) * h
+            break
         y = y_new
         stats.steps += 1
         stats.max_hamiltonian_error = max(stats.max_hamiltonian_error,
-                                          abs(sysm.H(y) - H0))
-        if cfg.store_every and n % cfg.store_every == 0:
-            times.append(n * cfg.h)
+                                          abs(system.H(y) - H0))
+        if store_every and n % store_every == 0:
+            times.append(n * h)
             states.append(y.copy())
-    if not cfg.store_every:
-        times.append(stats.steps * cfg.h)
+    if not store_every:
+        times.append(stats.steps * h)
         states.append(y.copy())
     return Trajectory(np.array(times), np.array(states)), stats
 
@@ -169,32 +184,25 @@ _COMPOSITION6 = _triple_jump_6()
 def composition6_stormer_verlet(system, h, t_end, store_every=1):
     """Order-6 explicit composition of Stoermer-Verlet for separable H.
 
-    Requires H = 1/2 |p|^2 + V(q); a cheap separability probe at the initial
-    state rejects systems with position-momentum coupling. Each of the 9
-    substeps is one velocity-Verlet step, 2 force evaluations each, 18 per
-    step. Divergence (state norm above 1e10) marks the run and stops.
+    Requires H = 1/2 |p|^2 + V(q): the Hessian at y0 (one counted hess call)
+    must pass hamiltonian.separable_hessian, the predicate that also picks the
+    m x m step-matrix factor. Each of the 9 substeps is one velocity-Verlet
+    step, 2 force evaluations each, 18 per step. Divergence (state norm above
+    1e10) marks the run and ends it at the last finite state.
     """
+    if h <= 0 or t_end <= 0:
+        raise ValueError("require h > 0 and t_end > 0")
     m = system.m
-    g_full = system.grad(np.asarray(system.y0, dtype=float))
-    g_frozen = system.grad(np.concatenate([system.y0[:m], np.zeros(m)]))
-    if (np.max(np.abs(g_full[:m] - g_frozen[:m])) >
-            1e-12 * (1.0 + np.max(np.abs(g_full)))) or \
-            np.max(np.abs(g_full[m:] - system.y0[m:])) > 1e-12 * (1.0 + np.max(np.abs(g_full))):
+    if not separable_hessian(system.hess(np.asarray(system.y0, dtype=float))):
         raise ValueError("composition method requires a separable Hamiltonian "
                          "H = |p|^2/2 + V(q)")
-    n_steps = int(np.ceil(t_end / h - 1e-12))
-    y = np.array(system.y0, dtype=float)
-    q, p = y[:m].copy(), y[m:].copy()
-    H0 = system.H(y)
-    stats = RunStats()
-    times = [0.0]
-    states = [y.copy()]
 
     def force(q):
         # dV/dq = grad H wrt q; independent of p for separable H
         return system.grad(np.concatenate([q, np.zeros(m)]))[:m]
 
-    for n in range(1, n_steps + 1):
+    def advance(y, stats):
+        q, p = y[:m], y[m:]
         # blowup overflows, in a substep or in the norm of a huge finite
         # state; it is recorded as divergence, not raised as an arithmetic error
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,19 +213,10 @@ def composition6_stormer_verlet(system, h, t_end, store_every=1):
                 p = p - 0.5 * hg * force(q)
                 stats.gradient_evaluations += 2
             y = np.concatenate([q, p])
-            blown_up = not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_THRESHOLD
-        if blown_up:
-            stats.diverged = True
-            stats.all_converged = False
-            stats.failed_at = (n - 1) * h
-            break
-        stats.steps += 1
-        stats.max_hamiltonian_error = max(stats.max_hamiltonian_error,
-                                          abs(system.H(y) - H0))
-        if store_every and n % store_every == 0:
-            times.append(n * h)
-            states.append(y.copy())
-    if not store_every:
-        times.append(stats.steps * h)
-        states.append(y.copy())
-    return Trajectory(np.array(times), np.array(states)), stats
+            if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_THRESHOLD:
+                stats.diverged = True
+                return None
+        return y
+
+    return _march(system, h, t_end, store_every, advance,
+                  RunStats(hessian_evaluations=1))

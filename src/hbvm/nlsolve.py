@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs, zgetrs
 
-from .hamiltonian import HamiltonianSystem, apply_J
+from .hamiltonian import HamiltonianSystem, apply_J, separable_hessian
 from .splitting import SplittingData
 from .tableau import HbvmTableau
 
@@ -236,9 +236,9 @@ def _step_factors(hess0, cs):
     """LU factors (lu, piv) of I - c J hess0 for each c, in scipy's lu_factor
     layout for the 2m x 2m matrix, complex for a complex c.
 
-    If the momentum rows and columns of hess0 are exactly [0 | I],
-    I - c J hess0 = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and with
-    P L_S U_S = S = I + c^2 V'' it factors as
+    If separable_hessian(hess0) (its momentum rows and columns are exactly
+    [0 | I]), I - c J hess0 = [[I, -c I], [c V'', I]] with
+    V'' = hess0[:m, :m], and with P L_S U_S = S = I + c^2 V'' it factors as
     diag(I, P) [[I, 0], [P^T c V'', L_S]] [[I, -c I], [0, U_S]]. Packed, that
     is lu = [[I, -c I], [P^T c V'', LU_S]] with pivots [0..m-1, m + piv_S]:
     one m x m LU per c. lu is Fortran-ordered, as getrs wants it, so a solve
@@ -249,8 +249,7 @@ def _step_factors(hess0, cs):
     """
     n = hess0.shape[0]
     m = n // 2
-    if (np.any(hess0[m:, :m]) or np.any(hess0[:m, m:])
-            or not np.array_equal(hess0[m:, m:], np.eye(m))):
+    if not separable_hessian(hess0):
         B = apply_J(hess0.T).T
         return [lu_factor(np.eye(n) - c * B) for c in cs]
     diag = np.arange(m)

@@ -52,6 +52,9 @@ _AUX_ABSCISSAE = {
         0.94225],
 }
 
+# how far an L_ii may deviate from d_s before the constants count as corrupted
+_DIAG_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SplittingData:
@@ -82,7 +85,7 @@ def auxiliary_abscissae(s):
     return np.array(_AUX_ABSCISSAE[s])
 
 
-def crout_lu_constant_diag(Ahat, d, diag_tol=1e-9):
+def crout_lu_constant_diag(Ahat, d):
     """Crout LU factorization without pivoting: Ahat = L U, U unit diagonal.
 
     The constant diagonal of L is *not* enforced; it is asserted post-hoc
@@ -102,7 +105,7 @@ def crout_lu_constant_diag(Ahat, d, diag_tol=1e-9):
         for i in range(j + 1, n):
             U[j, i] = (A[j, i] - L[j, :j] @ U[:j, i]) / L[j, j]
     dev = np.max(np.abs(np.diag(L) - d))
-    if dev > diag_tol:
+    if dev > _DIAG_TOL:
         raise ValueError(f"L diagonal deviates from d by {dev:.3e}: corrupted constants")
     return L, U
 
@@ -110,20 +113,11 @@ def crout_lu_constant_diag(Ahat, d, diag_tol=1e-9):
 def build_splitting(s):
     """Assemble the SplittingData for 1 <= s <= 6.
 
-    s = 1 is the degenerate case (Ahat = X_1 = [[1/2]], chat = [1]); it lets
-    HBVM(k,1) flow through the same solver code path.
+    s = 1 is the degenerate case (Ahat = L = X_1 = [[1/2]], U = [[1]]): any
+    abscissa gives Phat = [[1]], and chat = [1] is used; it lets HBVM(k,1)
+    flow through the same solver code path.
     """
-    if s == 1:
-        return SplittingData(
-            s=1,
-            chat=np.array([1.0]),
-            Phat=np.array([[1.0]]),
-            Ahat=np.array([[0.5]]),
-            L=np.array([[0.5]]),
-            U=np.array([[1.0]]),
-            d=0.5,
-        )
-    chat = auxiliary_abscissae(s)
+    chat = np.array([1.0]) if s == 1 else auxiliary_abscissae(s)
     Phat = np.column_stack([legendre_eval(j, chat) for j in range(s)])
     Xs = leading_Xs(s)
     # Ahat = Phat X_s Phat^{-1}, formed by a linear solve rather than inversion:

@@ -122,6 +122,14 @@ def test_integrate_composition6(capsys):
     assert float(cols["sol_err"]) < 1e-6  # order 6 at h = 0.1
 
 
+@pytest.mark.parametrize("h,t_end", [("0", "1.0"), ("0.1", "-1.0")])
+def test_integrate_composition6_rejects_nonpositive_h_and_t_end(capsys, h, t_end):
+    code, _, err = run_cli(capsys, "integrate", "--problem", "harmonic",
+                           "--h", h, "--t-end", t_end, "--solver", "composition6")
+    assert code == 2
+    assert "require h > 0 and t_end > 0" in err
+
+
 SWEEP_SPEC = """\
 # two quick runs
 [run]

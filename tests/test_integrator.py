@@ -4,8 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hbvm.hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
+from hbvm.hamiltonian import (
+    charged_particle,
+    fpu_modified,
+    harmonic_oscillator,
+    separable_hessian,
+)
 from hbvm.integrator import (
+    DIVERGENCE_THRESHOLD,
     RunConfig,
     Trajectory,
     composition6_stormer_verlet,
@@ -227,6 +233,54 @@ def test_composition6_divergence_emits_no_warning():
         warnings.simplefilter("error", RuntimeWarning)
         _, stats = composition6_stormer_verlet(fpu_modified(), 5e-4, 10.0, store_every=0)
     assert stats.diverged
+
+
+@pytest.mark.parametrize("system,h", [(harmonic_oscillator(100.0), 0.017),
+                                      (fpu_modified(), 5e-4)])
+def test_composition6_divergence_keeps_last_finite_state(system, h):
+    # endpoints only: the stored end is the state at failed_at, the same one
+    # a run storing every step ends with, not the blown-up one
+    traj, stats = composition6_stormer_verlet(system, h, 10.0, store_every=0)
+    full, _ = composition6_stormer_verlet(system, h, 10.0, store_every=1)
+    assert stats.diverged and not stats.all_converged
+    assert traj.times[-1] == stats.failed_at == stats.steps * h == full.times[-1]
+    assert np.array_equal(traj.states[-1], full.states[-1])
+    assert np.all(np.isfinite(traj.states[-1]))
+    assert np.linalg.norm(traj.states[-1]) <= DIVERGENCE_THRESHOLD
+
+
+@pytest.mark.parametrize("h,t_end", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0), (0.1, 0.0)])
+def test_composition6_rejects_nonpositive_h_and_t_end(h, t_end):
+    with pytest.raises(ValueError, match="require h > 0 and t_end > 0"):
+        composition6_stormer_verlet(harmonic_oscillator(), h, t_end)
+
+
+def test_composition6_counters_match_real_calls():
+    # 18 force evaluations per step and one Hessian for the separability test
+    sysm, calls = _counting(fpu_modified(), True)
+    _, stats = composition6_stormer_verlet(sysm, 1e-4, 1e-3)
+    assert stats.steps == 10
+    assert stats.gradient_evaluations == calls["grad"] == 180
+    assert stats.hessian_evaluations == calls["hess"] == 1
+
+
+@pytest.mark.parametrize("i,j,value", [(0, 14, 1e-300), (14, 0, 1e-300),
+                                       (15, 15, np.nextafter(1.0, 2.0))])
+def test_composition6_separability_is_the_step_factor_predicate(i, j, value):
+    # the entries that send _step_factors down the dense path (see
+    # test_nlsolve) fail the shared predicate, so the composition rejects them
+    base = fpu_modified()
+
+    def hess(y):
+        M = base.hess(y)
+        M[i, j] = value
+        return M
+
+    sysm = dataclasses.replace(base, hess=hess)
+    assert separable_hessian(base.hess(base.y0))
+    assert not separable_hessian(sysm.hess(sysm.y0))
+    with pytest.raises(ValueError, match="separable"):
+        composition6_stormer_verlet(sysm, 1e-4, 1e-3)
 
 
 def test_composition6_rejects_nonseparable_hamiltonian():

@@ -78,6 +78,14 @@ def test_crout_rejects_wrong_diagonal():
         crout_lu_constant_diag(A, 0.5)
 
 
+def test_crout_diagonal_tolerance_is_1e_9():
+    A = 0.5 * np.eye(2)
+    L, _ = crout_lu_constant_diag(A, 0.5 + 5e-10)
+    assert np.array_equal(L, A)
+    with pytest.raises(ValueError):
+        crout_lu_constant_diag(A, 0.5 + 2e-9)
+
+
 @pytest.mark.parametrize("s", range(2, 7))
 def test_splitting_data_invariants(s):
     data = build_splitting(s)
@@ -103,10 +111,13 @@ def test_det_Ahat_is_d_to_the_s(s):
 
 
 def test_splitting_s1_degenerate():
+    # the general construction reproduces the degenerate data exactly
     data = build_splitting(1)
-    assert data.Ahat == pytest.approx(np.array([[0.5]]))
-    assert data.L == pytest.approx(np.array([[0.5]]))
-    assert data.U == pytest.approx(np.array([[1.0]]))
+    assert np.array_equal(data.chat, [1.0])
+    assert np.array_equal(data.Phat, [[1.0]])
+    assert np.array_equal(data.Ahat, [[0.5]])
+    assert np.array_equal(data.L, [[0.5]])
+    assert np.array_equal(data.U, [[1.0]])
     assert data.d == 0.5
 
 

@@ -13,30 +13,34 @@ cap is spent. A solver supplies only its step:
     functional iteration (nonstiff only), with a 10x larger cap
   * simplified_newton_solve -- gamma <- gamma + Delta with the exact
     correction of the frozen matrix I - h X_s (x) B, B = J hess H(y0),
-    block-diagonalised through the eigenvectors of X_s: one real 2m x 2m LU
-    of I - h lam B per real eigenvalue lam (one for odd s, none for even s)
+    block-diagonalised through the eigenvectors of X_s: one real factor of
+    I - h lam B per real eigenvalue lam (one for odd s, none for even s)
     and one complex one per conjugate pair, ceil(s/2) in all; serves as the
     convergence oracle for the splitting
   * splitting_solve        -- in the transformed unknowns gammahat = Phat
     gamma, mu inner sweeps per step, each a block forward substitution
-    against a single factored 2m x 2m matrix I - h d_s J hess H(y0).
+    against a single factored matrix I - h d_s J hess H(y0).
 
-Both factored matrices have the form I - c B, B = J hess H(y0). When the
-Hessian's momentum rows are exactly [0 | I] (H = |p|^2/2 + V(q), unit
-mass), I - c B = [[I, -c I], [c V'', I]] and the Schur complement leaves
-one m x m LU of S = I + c^2 V''; the factor is packed in scipy's lu_factor
-layout for the 2m matrix, so every solve stays one getrs call. Any other
-Hessian is factored densely, 2m x 2m with row pivoting.
+Both factored matrices have the form I - c B, B = J hess H(y0), and come
+as a step factor (_step_factors) with solve(b) and the splitting's inner
+sweeps. When the Hessian's momentum rows are exactly [0 | I]
+(H = |p|^2/2 + V(q), unit mass), I - c B = [[I, -c I], [c V'', I]]: the
+factor is one m x m LU of S = I + c^2 V'', a solve is one m x m getrs and
+one V'' matvec, and a sweep eliminates the momenta of all s stages at once,
+so it needs one m x m getrs and one V'' matvec per stage and returns B D
+for the next sweep; no 2m x 2m matrix is formed. Any other Hessian is
+factored densely, 2m x 2m with row pivoting, and its sweep forms each
+B Dnew_j once.
 
 The hot path makes one call per stack where it can: the residual evaluates
 all k stage gradients in one grad call when the system declares
 stacked_grad (else one call per stage), the stage maps W = P_{s+1} Xhat and
 M = P_s^T Omega and the eigendecomposition of X_s come precomputed with the
-tableau, Phat comes factored with the splitting data, and an inner sweep
-forms each B Dnew_j once and solves through LAPACK getrs directly. A
-non-finite gradient or correction is not an error: it ends the step with
-converged=False. Every SolveResult counts the gradient and Hessian
-evaluations and the factorizations its step made.
+tableau, Phat comes factored with the splitting data, and every block solve
+calls LAPACK getrs directly (lu_solve). A non-finite gradient or
+correction is not an error: it ends the step with converged=False. Every
+SolveResult counts the gradient and Hessian evaluations and the
+factorizations its step made.
 """
 from __future__ import annotations
 
@@ -205,7 +209,7 @@ def simplified_newton_solve(p, opts=SolveOptions()):
 
 
 def _newton_factors(eig, h, hess0):
-    """LU factors of I - h lam_j J hess0 for the kept eigenvalues; real for
+    """Step factors of I - h lam_j J hess0 for the kept eigenvalues; real for
     real lam."""
     return _step_factors(hess0, [h * (lam.real if real else lam)
                                  for lam, real in zip(eig.lam, eig.real)])
@@ -217,14 +221,14 @@ def _newton_correction(eig, facs, F):
     delta = np.zeros(F.shape)
     for v, r, real, fac in zip(eig.V.T, R, eig.real, facs):
         if real:
-            delta += np.outer(v.real, lu_solve(fac, -r.real))
+            delta += np.outer(v.real, fac.solve(-r.real))
         else:
-            delta += 2.0 * np.outer(v, lu_solve(fac, -r)).real
+            delta += 2.0 * np.outer(v, fac.solve(-r)).real
     return delta
 
 
 def factor_step_matrix(h, d, hess0):
-    """Reusable LU factorization (lu, piv) of the 2m x 2m matrix I - h d J hess0.
+    """The factored step matrix I - h d J hess0, as a step factor.
 
     One m x m LU of I + (h d)^2 V'' when hess0 = [[V'', 0], [0, I]], else a
     dense 2m x 2m LU with row pivoting; see _step_factors.
@@ -233,40 +237,101 @@ def factor_step_matrix(h, d, hess0):
 
 
 def _step_factors(hess0, cs):
-    """LU factors (lu, piv) of I - c J hess0 for each c, in scipy's lu_factor
-    layout for the 2m x 2m matrix, complex for a complex c.
+    """A step factor of I - c B, B = J hess0, for each c (complex for a
+    complex c): an object whose solve(b) returns (I - c B)^{-1} b and whose
+    sweeps(L, T, eta, h, mu) run the inner iteration of the splitting.
 
     If separable_hessian(hess0) (its momentum rows and columns are exactly
-    [0 | I]), I - c J hess0 = [[I, -c I], [c V'', I]] with
-    V'' = hess0[:m, :m], and with P L_S U_S = S = I + c^2 V'' it factors as
-    diag(I, P) [[I, 0], [P^T c V'', L_S]] [[I, -c I], [0, U_S]]. Packed, that
-    is lu = [[I, -c I], [P^T c V'', LU_S]] with pivots [0..m-1, m + piv_S]:
-    one m x m LU per c. lu is Fortran-ordered, as getrs wants it, so a solve
-    does not copy it. The I block is the pivot without a row search: for
-    |c| <= 1 (c = h d_s or h lam_j, at most h/2 in modulus) the solves are
-    backward stable, beyond that their backward error grows like |c| eps.
-    Any other hess0 gets the dense lu_factor(I - c J hess0).
+    [0 | I]), I - c B = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and
+    eliminating x_p leaves S = I + c^2 V'': one m x m LU per c, and no 2m
+    matrix is formed (_SeparableStep). Any other hess0 gets the dense
+    lu_factor(I - c B) (_DenseStep).
     """
-    n = hess0.shape[0]
-    m = n // 2
-    if not separable_hessian(hess0):
-        B = apply_J(hess0.T).T
-        return [lu_factor(np.eye(n) - c * B) for c in cs]
-    diag = np.arange(m)
-    facs = []
-    for c in cs:
-        cV = c * hess0[:m, :m]
-        lu_S, piv_S = lu_factor(np.eye(m) + c * cV)
-        rows = list(range(m))  # getrf's row interchanges, applied in order
-        for i, j in enumerate(piv_S.tolist()):
-            rows[i], rows[j] = rows[j], rows[i]
-        lu = np.zeros((n, n), dtype=lu_S.dtype, order="F")
-        lu[diag, diag] = 1.0
-        lu[diag, m + diag] = -c
-        lu[m:, :m] = cV[rows]
-        lu[m:, m:] = lu_S
-        facs.append((lu, np.concatenate([diag.astype(piv_S.dtype), m + piv_S])))
-    return facs
+    if separable_hessian(hess0):
+        m = hess0.shape[0] // 2
+        return [_SeparableStep(hess0[:m, :m], c) for c in cs]
+    B = apply_J(hess0.T).T
+    return [_DenseStep(B, c) for c in cs]
+
+
+class _DenseStep:
+    """lu_factor(I - c B), 2m x 2m with row pivoting, and B for products."""
+
+    def __init__(self, B, c):
+        self.B = B
+        self.lu = lu_factor(np.eye(len(B)) - c * B)
+
+    def solve(self, b):
+        return lu_solve(self.lu, b)
+
+    def sweep(self, L, rhs, h):
+        """Block forward substitution for Dnew in [I - h L (x) B] Dnew = rhs,
+        each diagonal block solved with this factor; every B Dnew_j is formed
+        once."""
+        s = len(rhs)
+        Dnew = np.empty_like(rhs)
+        BD = []
+        for i in range(s):
+            Dnew[i] = lu_solve(self.lu, rhs[i] + h * sum(L[i, j] * BD[j] for j in range(i)))
+            if i < s - 1:
+                BD.append(self.B @ Dnew[i])
+        return Dnew
+
+    def sweeps(self, L, T, eta, h, mu):
+        """mu sweeps from D = 0: [I - h L (x) B] D' = h T (x) B D + eta."""
+        D = self.sweep(L, eta, h)
+        for _ in range(mu - 1):
+            D = self.sweep(L, h * ((T @ D) @ self.B.T) + eta, h)
+        return D
+
+
+class _SeparableStep:
+    """I - c B = [[I, -c I], [c V'', I]] through one m x m LU of
+    S = I + c^2 V''; B x = (x_p, -V'' x_q) is never formed as a matrix.
+
+    c V'' is kept, so a complex c does not upcast the real V'' on every
+    solve. The momentum block I is the pivot that eliminates x_p, without a
+    row search; the solves and sweeps stay backward stable at rounding level
+    for c^2 ||V''|| up to 1e12 (test_nlsolve checks 1e-13).
+    """
+
+    def __init__(self, V, c):
+        self.V, self.c, self.cV = V, c, c * V
+        self.lu = lu_factor(np.eye(len(V)) + c * self.cV)
+
+    def solve(self, b):
+        """x_q = S^{-1} (b_q + c b_p), x_p = b_p - c V'' x_q."""
+        m = len(self.V)
+        xq = lu_solve(self.lu, b[:m] + self.c * b[m:])
+        return np.concatenate([xq, b[m:] - self.cV @ xq])
+
+    def sweep(self, L, rhs, h):
+        """D = [Q | P] with [I - h L (x) B] D = rhs, and the rows B D_i as
+        B D = [P | -Q V''] (V'' symmetric).
+
+        The momentum rows P = R_p - h L (Q V'') are eliminated for all stages
+        at once, leaving Q + h^2 L^2 (Q V'') = R_q + h L R_p; its diagonal
+        blocks are S (L_ii = d_s, c = h d_s), so forward substitution makes
+        one lu_solve and one V'' matvec per stage.
+        """
+        m = len(self.V)
+        hL = h * L
+        L2 = hL @ hL
+        Q = rhs[:, :m] + hL @ rhs[:, m:]
+        QV = np.empty_like(Q)
+        for i in range(len(rhs)):
+            Q[i] = lu_solve(self.lu, Q[i] - L2[i, :i] @ QV[:i])
+            QV[i] = self.V @ Q[i]
+        P = rhs[:, m:] - hL @ QV
+        return np.concatenate([Q, P], axis=1), np.concatenate([P, -QV], axis=1)
+
+    def sweeps(self, L, T, eta, h, mu):
+        """mu sweeps from D = 0: [I - h L (x) B] D' = h T (x) B D + eta; each
+        sweep returns the B D that the next right-hand side needs."""
+        D, BD = self.sweep(L, eta, h)
+        for _ in range(mu - 1):
+            D, BD = self.sweep(L, h * (T @ BD) + eta, h)
+        return D
 
 
 def splitting_solve(p, data, opts=SolveOptions()):
@@ -281,36 +346,23 @@ def splitting_solve(p, data, opts=SolveOptions()):
     s, h = p.tableau.s, p.h
     if data.s != s:
         raise ValueError(f"splitting data is for s={data.s}, tableau has s={s}")
-    B = apply_J(p.system.hess(p.y0_step).T).T
+    # the factor needs one Hessian; this second, unused evaluation stays while
+    # the benchmark self-test (perfbench/test_perfbench.py) pins two per step,
+    # and goes together with that pin (ROADMAP item 1)
+    p.system.hess(p.y0_step)
     fac = factor_step_matrix(h, data.d, p.system.hess(p.y0_step))
     L, Phat, Phat_lu = data.L, data.Phat, data.Phat_lu
     T = L @ (data.U - np.eye(s))
 
     def step(ghat):
         eta = -(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
-        # the sweeps start from D = 0, so the first right-hand side is eta
-        D = _inner_sweep(fac, B, L, eta, h)
-        for _ in range(opts.mu - 1):
-            D = _inner_sweep(fac, B, L, h * ((T @ D) @ B.T) + eta, h)
+        D = fac.sweeps(L, T, eta, h, opts.mu)
         return ghat + D, D
 
     res = _iterate(p, opts, step, opts.max_outer, lambda ghat: lu_solve(Phat_lu, ghat))
     res.inner_iterations_total = opts.mu * res.outer_iterations
     res.hessian_evaluations, res.factorizations = 2, 1
     return res
-
-
-def _inner_sweep(fac, B, L, rhs, h):
-    """Block forward substitution for Dnew in [I - h L (x) B] Dnew = rhs,
-    each diagonal block solved with fac; every B Dnew_j is formed once."""
-    s = len(rhs)
-    Dnew = np.empty_like(rhs)
-    BD = []
-    for i in range(s):
-        Dnew[i] = lu_solve(fac, rhs[i] + h * sum(L[i, j] * BD[j] for j in range(i)))
-        if i < s - 1:
-            BD.append(B @ Dnew[i])
-    return Dnew
 
 
 def solve(p, opts=SolveOptions(), data=None):

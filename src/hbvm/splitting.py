@@ -117,6 +117,8 @@ def build_splitting(s):
     abscissa gives Phat = [[1]], and chat = [1] is used; it lets HBVM(k,1)
     flow through the same solver code path.
     """
+    if not 1 <= s <= 6:
+        raise ValueError(f"splitting available for 1 <= s <= 6, got {s}")
     chat = np.array([1.0]) if s == 1 else auxiliary_abscissae(s)
     Phat = np.column_stack([legendre_eval(j, chat) for j in range(s)])
     Xs = leading_Xs(s)

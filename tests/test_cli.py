@@ -54,6 +54,13 @@ def test_splitting_rejects_out_of_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("s", ["0", "7"])
+def test_splitting_out_of_range_message_gives_the_valid_range(capsys, s):
+    code, _, err = run_cli(capsys, "splitting", "-s", s)
+    assert code == 2
+    assert f"1 <= s <= 6, got {s}" in err
+
+
 def test_analyze_values(capsys):
     code, out, _ = run_cli(capsys, "analyze", "-s", "2", "--mu", "1")
     assert code == 0

@@ -83,12 +83,19 @@ def test_stage_maps_are_cached_on_the_tableau():
 
 
 def test_lu_solve_matches_scipy_and_passes_nonfinite_through():
+    # the separable fpu factor is an m x m LU; getrs on it is scipy's
+    # lu_solve bit for bit, and a NaN in b comes out of both solves
     sysm = fpu_modified()
     fac = factor_step_matrix(0.1, 0.3, sysm.hess(sysm.y0))
-    b = np.random.default_rng(5).standard_normal(28)
-    assert np.array_equal(getrs_solve(fac, b), lu_solve(fac, b))
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(14)
+    assert fac.lu[0].shape == (14, 14)
+    assert np.array_equal(getrs_solve(fac.lu, b), lu_solve(fac.lu, b))
     b[3] = np.nan
-    assert not np.all(np.isfinite(getrs_solve(fac, b)))
+    assert not np.all(np.isfinite(getrs_solve(fac.lu, b)))
+    b = rng.standard_normal(28)
+    b[3] = np.nan
+    assert not np.all(np.isfinite(fac.solve(b)))
 
 
 def test_complex_lu_solve_matches_scipy_and_passes_nonfinite_through():
@@ -283,9 +290,11 @@ def test_factor_step_matrix_solves_shifted_system():
     fac = factor_step_matrix(h, d, hess0)
     rng = np.random.default_rng(7)
     b = rng.standard_normal(6)
-    x = lu_solve(fac, b)
+    x = fac.solve(b)
     JH = np.vstack([hess0[3:], -hess0[:3]])
     assert (np.eye(6) - h * d * JH) @ x == pytest.approx(b, abs=1e-12)
+    b[2] = np.nan
+    assert not np.all(np.isfinite(fac.solve(b)))
 
 
 def _hess_at_y0(system):
@@ -330,24 +339,37 @@ def test_dense_step_factor_is_scipys_lu_of_the_step_matrix(h):
     e = build_tableau(6, 3).eig
     cs = [h * 0.3] + [h * (lam.real if real else lam) for lam, real in zip(e.lam, e.real)]
     facs = [factor_step_matrix(h, 0.3, hess0)] + _newton_factors(e, h, hess0)
-    for c, (lu, piv) in zip(cs, facs):
-        ref_lu, ref_piv = lu_factor(np.eye(6) - c * B)
+    for c, fac in zip(cs, facs):
+        (lu, piv), (ref_lu, ref_piv) = fac.lu, lu_factor(np.eye(6) - c * B)
         assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        b = np.random.default_rng(3).standard_normal(6)
+        assert np.array_equal(fac.solve(b), lu_solve((ref_lu, ref_piv), b))
+
+
+def _separable_hess(m, h, stiffness, rng):
+    # V'' random PSD with ||V''|| = 4 stiffness / h^2, so that c^2 ||V''||
+    # reaches stiffness for |c| = h/2 (d_1 = lam_1 = 1/2)
+    A = rng.standard_normal((m, m))
+    Vqq = A @ A.T
+    Vqq *= 4.0 * stiffness / (h * h * np.linalg.norm(Vqq, 2))
+    hess0 = np.eye(2 * m)
+    hess0[:m, :m] = Vqq
+    return hess0
+
+
+def _backward_error(A, x, b):
+    return np.linalg.norm(A @ x - b, np.inf) / (
+        np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
 
 
 @pytest.mark.parametrize("m", [1, 3, 14, 64])
 @pytest.mark.parametrize("h", [0.1, 1.0])
 @pytest.mark.parametrize("stiffness", [1e-3, 1.0, 1e6, 1e12])
 def test_structured_step_factor_is_backward_stable(m, h, stiffness):
-    # real c = h d_s and complex c = h lam_j, |c| <= h/2 (d_1 = lam_1 = 1/2);
-    # V'' random PSD with ||V''|| = 4 stiffness / h^2, so c^2 ||V''|| reaches
-    # stiffness
+    # real c = h d_s and complex c = h lam_j, |c| <= h/2: the m x m factor of
+    # S = I + c^2 V'' solves I - c B with backward error at rounding level
     rng = np.random.default_rng([m, int(h * 10), int(np.log10(stiffness)) + 3])
-    A = rng.standard_normal((m, m))
-    Vqq = A @ A.T
-    Vqq *= 4.0 * stiffness / (h * h * np.linalg.norm(Vqq, 2))
-    hess0 = np.eye(2 * m)
-    hess0[:m, :m] = Vqq
+    hess0 = _separable_hess(m, h, stiffness, rng)
     B = apply_J(hess0.T).T
     for s in (1, 2, 3, 6):
         e = build_tableau(s, s).eig
@@ -355,17 +377,101 @@ def test_structured_step_factor_is_backward_stable(m, h, stiffness):
         cs = [h * build_splitting(s).d] + [h * (lam.real if real else lam)
                                            for lam, real in zip(e.lam, e.real)]
         for c, fac in zip(cs, facs):
-            assert fac[0].flags.f_contiguous
-            assert fac[0].shape == (2 * m, 2 * m)
-            assert np.iscomplexobj(fac[0]) == np.iscomplexobj(c)
-            Ac = np.eye(2 * m) - c * B
+            assert fac.lu[0].shape == (m, m)
+            assert np.iscomplexobj(fac.lu[0]) == np.iscomplexobj(c)
             b = rng.standard_normal(2 * m)
             if np.iscomplexobj(c):
                 b = b + 1j * rng.standard_normal(2 * m)
-            for x in (lu_solve(fac, b), getrs_solve(fac, b)):
-                err = np.linalg.norm(Ac @ x - b, np.inf) / (
-                    np.linalg.norm(Ac, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
-                assert err <= 1e-13
+            assert _backward_error(np.eye(2 * m) - c * B, fac.solve(b), b) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 3, 14, 64])
+@pytest.mark.parametrize("h", [0.1, 1.0])
+@pytest.mark.parametrize("stiffness", [1e-3, 1.0, 1e6, 1e12])
+def test_separable_sweep_is_backward_stable(m, h, stiffness):
+    # one sweep solves [I - h L (x) B] D = R for the splitting's L; its B D
+    # is D B^T to rounding
+    rng = np.random.default_rng([m, int(h * 10), int(np.log10(stiffness)) + 3, 1])
+    hess0 = _separable_hess(m, h, stiffness, rng)
+    B = apply_J(hess0.T).T
+    for s in range(1, 7):
+        data = build_splitting(s)
+        fac = factor_step_matrix(h, data.d, hess0)
+        R = rng.standard_normal((s, 2 * m))
+        D, BD = fac.sweep(data.L, R, h)
+        A = np.eye(s * 2 * m) - h * np.kron(data.L, B)
+        assert _backward_error(A, D.ravel(), R.ravel()) <= 1e-13
+        assert np.max(np.abs(BD - D @ B.T)) <= 1e-14 * np.linalg.norm(B, np.inf) * np.max(np.abs(D))
+
+
+def _reference_dense_sweep(fac, B, L, rhs, h):
+    """Reference inner sweep over a bare scipy (lu, piv) factor and a dense B."""
+    s = len(rhs)
+    Dnew = np.empty_like(rhs)
+    BD = []
+    for i in range(s):
+        Dnew[i] = getrs_solve(fac, rhs[i] + h * sum(L[i, j] * BD[j] for j in range(i)))
+        if i < s - 1:
+            BD.append(B @ Dnew[i])
+    return Dnew
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_dense_sweeps_are_the_bare_factor_sweeps_bit_for_bit(s, mu):
+    sysm = charged_particle()
+    hess0 = sysm.hess(sysm.y0)
+    B = apply_J(hess0.T).T
+    h, data = 0.1, build_splitting(s)
+    T = data.L @ (data.U - np.eye(s))
+    fac = factor_step_matrix(h, data.d, hess0)
+    ref_fac = lu_factor(np.eye(6) - h * data.d * B)
+    eta = np.random.default_rng([s, mu]).standard_normal((s, 6))
+    assert np.array_equal(fac.sweep(data.L, eta, h),
+                          _reference_dense_sweep(ref_fac, B, data.L, eta, h))
+    D = _reference_dense_sweep(ref_fac, B, data.L, eta, h)
+    for _ in range(mu - 1):
+        D = _reference_dense_sweep(ref_fac, B, data.L, h * ((T @ D) @ B.T) + eta, h)
+    assert np.array_equal(fac.sweeps(data.L, T, eta, h, mu), D)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 6])
+def test_separable_path_factors_and_solves_m_by_m_once_per_block(monkeypatch, s):
+    # the benchmark tracer counts calls of the module-level lu_factor and
+    # lu_solve: one m x m factor per step matrix and one call per block solve
+    import hbvm.nlsolve
+
+    m = 8
+    factored, solved = [], []
+
+    def counting_factor(a, *args, **kwargs):
+        factored.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    def counting_solve(fac, b):
+        solved.append(fac[0].shape)
+        return getrs_solve(fac, b)
+
+    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", counting_factor)
+    monkeypatch.setattr(hbvm.nlsolve, "lu_solve", counting_solve)
+    p = _problem(_fpu_type_chain(m // 2, np.random.default_rng(s)), 2 * s, s, 0.1)
+    mu = 3
+    split = splitting_solve(p, build_splitting(s), SolveOptions(mu=mu))
+    assert split.converged
+    assert factored == [(m, m)]
+    # mu sweeps of s block solves per outer step, and one Phat solve per
+    # outer step plus one for the result
+    assert solved.count((m, m)) == mu * s * split.outer_iterations
+    assert solved.count((s, s)) == split.outer_iterations + 1
+    assert len(solved) == (mu * s + 1) * split.outer_iterations + 1
+
+    factored.clear()
+    solved.clear()
+    newton = simplified_newton_solve(p, SolveOptions())
+    assert newton.converged
+    blocks = (s + 1) // 2
+    assert factored == [(m, m)] * blocks
+    assert solved == [(m, m)] * (blocks * newton.outer_iterations)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

@@ -55,6 +55,12 @@ def test_abscissae_rejects_out_of_range(s):
         auxiliary_abscissae(s)
 
 
+@pytest.mark.parametrize("s", [-1, 0, 7])
+def test_build_splitting_rejects_out_of_range_with_the_valid_range(s):
+    with pytest.raises(ValueError, match=f"1 <= s <= 6, got {s}"):
+        build_splitting(s)
+
+
 def test_crout_identity():
     L, U = crout_lu_constant_diag(np.eye(3), 1.0)
     assert L == pytest.approx(np.eye(3))

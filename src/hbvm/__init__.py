@@ -32,7 +32,6 @@ from .nlsolve import (
     SolveOptions,
     SolveResult,
     StageProblem,
-    factor_step_matrix,
     fixed_point_solve,
     residual_F,
     simplified_newton_solve,

@@ -26,6 +26,9 @@ PROBLEMS = {
 }
 
 SOLVERS = ("fixed-point", "simplified-newton", "splitting", "composition6")
+_DEFAULT_SOLVER = SolveOptions.solver.replace("_", "-")
+
+_SWEEP_KEYS = {"problem", "k", "s", "h", "t_end", "solver", "mu", "tol", "max_outer", "omega"}
 
 STATS_HEADER = ("method,k,s,h,t_end,solver,mu,tol,steps,outer_iters,"
                 "inner_iters,ham_err,sol_err,converged")
@@ -175,7 +178,7 @@ def cmd_sweep(args):
         return 3
     try:
         runs = _parse_sweep_spec(text)
-        configs = [_sweep_args(r, args) for r in runs]
+        configs = [_sweep_args(r) for r in runs]
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -185,17 +188,20 @@ def cmd_sweep(args):
     return 0
 
 
-def _sweep_args(run, args):
+def _sweep_args(run):
+    unknown = sorted(set(run) - _SWEEP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown sweep spec key {', '.join(map(repr, unknown))}")
     ns = argparse.Namespace(
         problem=run.get("problem", "harmonic"),
         k=int(run.get("k", 2)),
         s=int(run.get("s", 2)),
         h=float(run["h"]),
         t_end=float(run.get("t_end", 10.0)),
-        solver=run.get("solver", "splitting"),
-        mu=int(run.get("mu", 2)),
-        tol=float(run.get("tol", 1e-13)),
-        max_outer=int(run.get("max_outer", 100)),
+        solver=run.get("solver", _DEFAULT_SOLVER),
+        mu=int(run.get("mu", SolveOptions.mu)),
+        tol=float(run.get("tol", SolveOptions.tol)),
+        max_outer=int(run.get("max_outer", SolveOptions.max_outer)),
         omega=float(run.get("omega", 1.0)),
         every=0,
         out=None,
@@ -238,10 +244,10 @@ def build_parser():
     it.add_argument("-s", type=int, default=2)
     it.add_argument("--h", type=float, required=True)
     it.add_argument("--t-end", type=float, required=True)
-    it.add_argument("--solver", choices=SOLVERS, default="splitting")
-    it.add_argument("--mu", type=int, default=2)
-    it.add_argument("--tol", type=float, default=1e-13)
-    it.add_argument("--max-outer", type=int, default=100)
+    it.add_argument("--solver", choices=SOLVERS, default=_DEFAULT_SOLVER)
+    it.add_argument("--mu", type=int, default=SolveOptions.mu)
+    it.add_argument("--tol", type=float, default=SolveOptions.tol)
+    it.add_argument("--max-outer", type=int, default=SolveOptions.max_outer)
     it.add_argument("--omega", type=float, default=1.0)
     it.add_argument("--every", type=int, default=1,
                     help="store every N-th state (0: endpoints only); stats always "

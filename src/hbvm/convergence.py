@@ -1,10 +1,10 @@
 """Linear convergence analysis of the splitting iteration.
 
 For the scalar test equation y' = lambda y with q = h*lambda, the inner
-iteration contracts the error by Z(q) = q (I - q L)^{-1} L (U - I). The
-quantities of interest are the spectral radius rho(q) along the imaginary
-axis (maximum amplification factor rho*), the nonstiff factor
-rho~ = rho(L(U-I)) governing q -> 0, the stiff limit rho_inf = rho(U-I) = 0
+iteration contracts the error by Z(q) = q (I - q L)^{-1} T, T = L (U - I)
+(SplittingData.T). The quantities of interest are the spectral radius rho(q)
+along the imaginary axis (maximum amplification factor rho*), the nonstiff
+factor rho~ = rho(T) governing q -> 0, the stiff limit rho_inf = rho(U-I) = 0
 (U - I is nilpotent), and averaged factors measuring the contraction after a
 finite number mu of iterations, in the infinity norm.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "AmplificationReport",
@@ -49,13 +48,11 @@ class AmplificationReport:
 
 
 def iteration_matrix(q, data):
-    """Z(q) = q (I - q L)^{-1} L (U - I); for an array of N values of q, the
-    (N, s, s) stack of Z."""
-    L, U = data.L, data.U
-    s = data.s
+    """Z(q) = q (I - q L)^{-1} T, T = L (U - I); for an array of N values of
+    q, the (N, s, s) stack of Z."""
     q = np.asarray(q)[..., None, None]
-    M = np.eye(s) - q * L
-    return q * np.linalg.solve(M, L @ (U - np.eye(s)))
+    M = np.eye(data.s) - q * data.L
+    return q * np.linalg.solve(M, data.T)
 
 
 def spectral_radius(M):
@@ -70,6 +67,8 @@ def _maximize_on_axis(f):
     gridpoint to relative tolerance 1e-10. Returns (max, argmax).
 
     f maps an array of x to the array of values and a float to a float."""
+    from scipy.optimize import minimize_scalar  # here: slow, and integrate never needs it
+
     vals = np.concatenate([f(_GRID[i:i + _BLOCK]) for i in range(0, len(_GRID), _BLOCK)])
     i = int(np.argmax(vals))
     lo = _GRID[max(i - 1, 0)]
@@ -92,8 +91,8 @@ def rho_star(data):
 
 
 def rho_tilde(data):
-    """Nonstiff amplification factor rho(L(U - I))."""
-    return spectral_radius(data.L @ (data.U - np.eye(data.s)))
+    """Nonstiff amplification factor rho(L(U - I)) = rho(T)."""
+    return spectral_radius(data.T)
 
 
 def rho_inf(data):
@@ -106,11 +105,9 @@ def averaged_factors(data, mu):
     in the infinity norm: rho*_mu = sup_x ||Z(ix)^mu||^(1/mu), etc."""
     if mu < 1:
         raise ValueError(f"mu must be positive, got {mu}")
-    s = data.s
-    I = np.eye(s)
     star, _ = _maximize_on_axis(lambda x: _averaged_norm(iteration_matrix(1j * x, data), mu))
-    tilde = _averaged_norm(data.L @ (data.U - I), mu)
-    stiff = _averaged_norm(data.U - I, mu)
+    tilde = _averaged_norm(data.T, mu)
+    stiff = _averaged_norm(data.U - np.eye(data.s), mu)
     return star, tilde, stiff
 
 

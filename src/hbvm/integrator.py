@@ -60,7 +60,6 @@ class RunStats:
     hessian_evaluations: int = 0
     factorizations: int = 0
     max_hamiltonian_error: float = 0.0
-    solution_error: float | None = None
     all_converged: bool = True
     diverged: bool = False
     failed_at: float | None = None

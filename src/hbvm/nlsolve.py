@@ -21,9 +21,10 @@ cap is spent. A solver supplies only its step:
     gamma, mu inner sweeps per step, each a block forward substitution
     against a single factored matrix I - h d_s J hess H(y0).
 
-Both factored matrices have the form I - c B, B = J hess H(y0), and come
-as a step factor (_step_factors) with solve(b) and the splitting's inner
-sweeps. When the Hessian's momentum rows are exactly [0 | I]
+Both factored matrices have the form I - c B, B = J hess H(y0), and
+step_factors(hess0, cs) is the one constructor of their factors: for each
+shift c a step factor with solve(b) and the splitting's inner sweeps, real
+when c has no imaginary part. When the Hessian's momentum rows are exactly [0 | I]
 (H = |p|^2/2 + V(q), unit mass), I - c B = [[I, -c I], [c V'', I]]: the
 factor is one m x m LU of S = I + c^2 V'', a solve is one m x m getrs and
 one V'' matvec, and a sweep eliminates the momenta of all s stages at once,
@@ -37,8 +38,8 @@ all k stage gradients in one grad call when the system declares
 stacked_grad (else one call per stage), the stage maps W = P_{s+1} Xhat and
 M = P_s^T Omega and the eigendecomposition of X_s come precomputed with the
 tableau, Phat comes factored with the splitting data, and every block solve
-calls LAPACK getrs directly (lu_solve). A non-finite gradient or
-correction is not an error: it ends the step with converged=False. Every
+calls LAPACK getrs directly (lu_solve). A non-finite gradient, correction
+or Hessian is not an error: it ends the step with converged=False. Every
 SolveResult counts the gradient and Hessian evaluations and the
 factorizations its step made.
 """
@@ -62,7 +63,7 @@ __all__ = [
     "residual_F",
     "fixed_point_solve",
     "simplified_newton_solve",
-    "factor_step_matrix",
+    "step_factors",
     "splitting_solve",
 ]
 
@@ -157,7 +158,8 @@ def _iterate(p, opts, step, cap, out=lambda x: x):
     small relative to x, x stops being finite, or cap iterations are spent;
     out maps the final x to gamma. Divergence shows up as overflow before the
     finiteness check trips; it is data (a *** table entry), not an
-    arithmetic error, and ends the step with converged=False.
+    arithmetic error, and ends the step with converged=False. With cap 0 (no
+    step factors: a non-finite Hessian) the step fails before iterating.
     """
     grads_per_residual = 1 if p.system.stacked_grad else p.tableau.k
 
@@ -165,7 +167,7 @@ def _iterate(p, opts, step, cap, out=lambda x: x):
         return SolveResult(out(x), it, 0, converged, norm, it,
                            gradient_evaluations=grads_per_residual * it)
 
-    x = np.zeros((p.tableau.s, p.system.dim))
+    x, delta = np.zeros((p.tableau.s, p.system.dim)), np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cap + 1):
             x, delta = step(x)
@@ -197,22 +199,15 @@ def simplified_newton_solve(p, opts=SolveOptions()):
     eigenvalue of each conjugate pair is solved for (see XsEigen).
     """
     eig = p.tableau.eig
-    facs = _newton_factors(eig, p.h, p.system.hess(p.y0_step))
+    facs = step_factors(p.system.hess(p.y0_step), p.h * eig.lam)
 
     def step(gamma):
         delta = _newton_correction(eig, facs, residual_F(p, gamma))
         return gamma + delta, delta
 
-    res = _iterate(p, opts, step, opts.max_outer)
+    res = _iterate(p, opts, step, opts.max_outer if facs else 0)
     res.hessian_evaluations, res.factorizations = 1, len(facs)
     return res
-
-
-def _newton_factors(eig, h, hess0):
-    """Step factors of I - h lam_j J hess0 for the kept eigenvalues; real for
-    real lam."""
-    return _step_factors(hess0, [h * (lam.real if real else lam)
-                                 for lam, real in zip(eig.lam, eig.real)])
 
 
 def _newton_correction(eig, facs, F):
@@ -227,19 +222,12 @@ def _newton_correction(eig, facs, F):
     return delta
 
 
-def factor_step_matrix(h, d, hess0):
-    """The factored step matrix I - h d J hess0, as a step factor.
-
-    One m x m LU of I + (h d)^2 V'' when hess0 = [[V'', 0], [0, I]], else a
-    dense 2m x 2m LU with row pivoting; see _step_factors.
-    """
-    return _step_factors(hess0, [h * d])[0]
-
-
-def _step_factors(hess0, cs):
-    """A step factor of I - c B, B = J hess0, for each c (complex for a
-    complex c): an object whose solve(b) returns (I - c B)^{-1} b and whose
-    sweeps(L, T, eta, h, mu) run the inner iteration of the splitting.
+def step_factors(hess0, cs):
+    """A step factor of I - c B, B = J hess0, for each shift c, or none at all
+    when hess0 is not finite: an object whose solve(b) returns (I - c B)^{-1} b
+    and whose sweeps(L, T, eta, h, mu) run the inner iteration of the
+    splitting. A c with no imaginary part is factored in real arithmetic
+    (dgetrs solves), any other in complex.
 
     If separable_hessian(hess0) (its momentum rows and columns are exactly
     [0 | I]), I - c B = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and
@@ -247,6 +235,9 @@ def _step_factors(hess0, cs):
     matrix is formed (_SeparableStep). Any other hess0 gets the dense
     lu_factor(I - c B) (_DenseStep).
     """
+    if not np.all(np.isfinite(hess0)):
+        return []
+    cs = [c.real if c.imag == 0 else c for c in cs]
     if separable_hessian(hess0):
         m = hess0.shape[0] // 2
         return [_SeparableStep(hess0[:m, :m], c) for c in cs]
@@ -338,10 +329,10 @@ def splitting_solve(p, data, opts=SolveOptions()):
     """Inner-outer triangular-splitting iteration in gammahat = Phat gamma.
 
     Each outer step evaluates eta = -Phat F(Phat^{-1} gammahat), then runs mu
-    inner sweeps; an inner sweep solves [I - h L (x) B] Dnew = h L(U-I) (x) B D
-    + eta by block forward substitution, every diagonal block sharing the one
-    factored matrix I - h d_s B with B = J hess H(y0). The new step value is
-    y1 = y0 + h gamma_0.
+    inner sweeps; an inner sweep solves [I - h L (x) B] Dnew = h T (x) B D + eta,
+    T = data.T = L (U - I), by block forward substitution, every diagonal block
+    sharing the one factored matrix I - h d_s B with B = J hess H(y0). The new
+    step value is y1 = y0 + h gamma_0.
     """
     s, h = p.tableau.s, p.h
     if data.s != s:
@@ -350,18 +341,18 @@ def splitting_solve(p, data, opts=SolveOptions()):
     # the benchmark self-test (perfbench/test_perfbench.py) pins two per step,
     # and goes together with that pin (ROADMAP item 1)
     p.system.hess(p.y0_step)
-    fac = factor_step_matrix(h, data.d, p.system.hess(p.y0_step))
+    facs = step_factors(p.system.hess(p.y0_step), [h * data.d])
     L, Phat, Phat_lu = data.L, data.Phat, data.Phat_lu
-    T = L @ (data.U - np.eye(s))
 
     def step(ghat):
         eta = -(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
-        D = fac.sweeps(L, T, eta, h, opts.mu)
+        D = facs[0].sweeps(L, data.T, eta, h, opts.mu)
         return ghat + D, D
 
-    res = _iterate(p, opts, step, opts.max_outer, lambda ghat: lu_solve(Phat_lu, ghat))
+    res = _iterate(p, opts, step, opts.max_outer if facs else 0,
+                   lambda ghat: lu_solve(Phat_lu, ghat))
     res.inner_iterations_total = opts.mu * res.outer_iterations
-    res.hessian_evaluations, res.factorizations = 2, 1
+    res.hessian_evaluations, res.factorizations = 2, len(facs)
     return res
 
 

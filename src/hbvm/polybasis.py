@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "legendre_eval", "legendre_integral", "gauss_rule", "xi"]
+__all__ = ["QuadratureRule", "legendre_eval", "legendre_basis", "legendre_integral", "gauss_rule",
+           "xi"]
 
 MAX_NODES = 50
 
@@ -60,6 +61,11 @@ def legendre_eval(j, x):
     p, _ = _legendre_recurrence(j, 2.0 * np.asarray(x, dtype=float) - 1.0)
     out = np.sqrt(2.0 * j + 1.0) * p
     return out if out.ndim else float(out)
+
+
+def legendre_basis(x, r):
+    """The len(x) x r matrix of P_j(x_i), j = 0..r-1 (P_s, P_{s+1}, Phat)."""
+    return np.column_stack([legendre_eval(j, x) for j in range(r)])
 
 
 def legendre_integral(j, c):

@@ -8,6 +8,9 @@ make this work are shipped as high-precision constants (they solve s-1
 algebraic determinant conditions coupled with a minimization of the maximum
 amplification factor; re-deriving them is out of scope, verifying them is
 not -- see verify_conditions).
+
+SplittingData also carries T = L (U - I): the splitting's inner sweeps apply
+h T (x) B, and hbvm.convergence studies Z(q) = q (I - q L)^{-1} T.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor
 
-from .polybasis import legendre_eval
+from .polybasis import legendre_basis
 from .tableau import det_Xs, leading_Xs
 
 __all__ = [
@@ -66,9 +69,11 @@ class SplittingData:
     U: np.ndarray     # unit upper triangular
     d: float
     Phat_lu: tuple = field(init=False, repr=False)  # lu_factor(Phat), made once
+    T: np.ndarray = field(init=False, repr=False)   # L (U - I), made once
 
     def __post_init__(self):
         object.__setattr__(self, "Phat_lu", lu_factor(self.Phat))
+        object.__setattr__(self, "T", self.L @ (self.U - np.eye(self.s)))
 
 
 def d_s(s):
@@ -120,7 +125,7 @@ def build_splitting(s):
     if not 1 <= s <= 6:
         raise ValueError(f"splitting available for 1 <= s <= 6, got {s}")
     chat = np.array([1.0]) if s == 1 else auxiliary_abscissae(s)
-    Phat = np.column_stack([legendre_eval(j, chat) for j in range(s)])
+    Phat = legendre_basis(chat, s)
     Xs = leading_Xs(s)
     # Ahat = Phat X_s Phat^{-1}, formed by a linear solve rather than inversion:
     # Ahat Phat = Phat Xs  <=>  Phat^T Ahat^T = (Phat Xs)^T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import QuadratureRule, gauss_rule, legendre_eval, xi
+from .polybasis import QuadratureRule, gauss_rule, legendre_basis, xi
 
 __all__ = ["HbvmTableau", "XsEigen", "xi", "build_Xhat", "leading_Xs", "xs_eigen", "det_Xs",
            "build_tableau"]
@@ -99,18 +99,13 @@ def det_Xs(s):
     return float(0.5 * np.prod([xi(2 * i) ** 2 for i in range(1, s // 2 + 1)]))
 
 
-def _basis_matrix(c, r):
-    """k x r matrix with entries P_{j}(c_i), j = 0..r-1."""
-    return np.column_stack([legendre_eval(j, c) for j in range(r)])
-
-
 def build_tableau(k, s):
     """Assemble the HBVM(k,s) tableau at the k Gaussian abscissae."""
     if s < 1 or k < s:
         raise ValueError(f"require k >= s >= 1, got k={k}, s={s}")
     rule = gauss_rule(k)
-    Ps = _basis_matrix(rule.nodes, s)
-    Ps1 = _basis_matrix(rule.nodes, s + 1)
+    Ps = legendre_basis(rule.nodes, s)
+    Ps1 = legendre_basis(rule.nodes, s + 1)
     Xhat = build_Xhat(s)
     Omega = np.diag(rule.weights)
     W = Ps1 @ Xhat

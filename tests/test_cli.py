@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hbvm.cli import STATS_HEADER, main
+from hbvm.cli import STATS_HEADER, _solve_options, _sweep_args, build_parser, main
+from hbvm.nlsolve import SolveOptions
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +195,40 @@ def test_sweep_unknown_problem(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", str(spec))
     assert code == 2
     assert "unknown problem" in err
+
+
+def test_sweep_unknown_solver(tmp_path, capsys):
+    spec = tmp_path / "bad.txt"
+    spec.write_text("[run]\nsolver = bogus\nh = 0.1\n")
+    code, _, err = run_cli(capsys, "sweep", str(spec))
+    assert code == 2
+    assert "unknown solver 'bogus'" in err
+
+
+def test_sweep_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelt key would otherwise run the default splitting silently
+    spec = tmp_path / "bad.txt"
+    spec.write_text("[run]\nh = 0.1\nt_end = 0.2\nsolvr = fixed-point\nmax_outr = 1\n")
+    code, out, err = run_cli(capsys, "sweep", str(spec))
+    assert code == 2
+    assert "'solvr'" in err and "'max_outr'" in err
+    assert out == ""
+
+
+def test_integrate_and_sweep_default_to_solve_options():
+    args = build_parser().parse_args(["integrate", "--problem", "harmonic",
+                                      "--h", "0.1", "--t-end", "1"])
+    assert _solve_options(args) == SolveOptions()
+    assert _solve_options(_sweep_args({"h": "0.1"})) == SolveOptions()
+
+
+def test_integrate_unwritable_out_exits_3(tmp_path, capsys):
+    # --out names a directory: the trajectory cannot be written
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--problem", "harmonic", "--h", "0.1", "--t-end", "0.2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 3
+    assert "cannot write output" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,3 +156,14 @@ def test_report_assembles(splittings):
     assert rep.rho_star == pytest.approx(0.2536, abs=5e-4)
     assert rep.rho_inf < 1e-12
     assert [mu for mu, *_ in rep.averaged] == [1, 2, 3]
+
+
+def test_import_hbvm_leaves_scipy_optimize_unloaded():
+    # only the axis scan needs minimize_scalar; it imports it on first use,
+    # so an interpreter that only integrates never pays for scipy.optimize
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hbvm; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

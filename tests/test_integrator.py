@@ -147,6 +147,45 @@ def _counting(system, stacked):
     return dataclasses.replace(system, grad=grad, hess=hess, stacked_grad=stacked), calls
 
 
+@pytest.mark.parametrize("solver,hess_per_step", [("splitting", 2), ("simplified_newton", 1)])
+@pytest.mark.parametrize("factory,h", [(fpu_modified, 0.01), (charged_particle, 0.1)])
+def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver, hess_per_step):
+    # one NaN Hessian entry from the third step on: V'' of the separable fpu
+    # factor, the dense factor of the charged particle; the run ends at 2h
+    # without an exception or a warning, and the counters are the real calls
+    import hbvm.nlsolve
+
+    base = factory()
+    sysm, calls = _counting(base, base.stacked_grad)
+    counted_hess = sysm.hess
+
+    def hess(y):
+        M = counted_hess(y).copy()
+        if calls["hess"] > 2 * hess_per_step:
+            M[0, 0] = np.nan
+        return M
+
+    factors = []
+
+    def lu_factor(a, *args, **kwargs):
+        factors.append(a.shape)
+        return real_lu_factor(a, *args, **kwargs)
+
+    real_lu_factor = hbvm.nlsolve.lu_factor
+    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", lu_factor)
+    cfg = RunConfig(system=dataclasses.replace(sysm, hess=hess), k=4, s=2, h=h,
+                    t_end=10 * h, options=SolveOptions(solver=solver))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, stats = integrate(cfg)
+    assert not stats.all_converged and not stats.diverged
+    assert stats.steps == 2 and stats.failed_at == 2 * h
+    assert np.array_equal(traj.times, [0.0, h, 2 * h]) and np.all(np.isfinite(traj.states))
+    assert stats.hessian_evaluations == calls["hess"] == 3 * hess_per_step
+    assert stats.gradient_evaluations == calls["grad"] > 0
+    assert stats.factorizations == len(factors) > 0
+
+
 @pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])
 def test_gradient_and_hessian_counters_match_real_calls(solver):
     # one grad call per residual on a stacked system, k on a per-row one

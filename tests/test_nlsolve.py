@@ -15,8 +15,6 @@ from hbvm.nlsolve import (
     SolveOptions,
     StageProblem,
     _newton_correction,
-    _newton_factors,
-    factor_step_matrix,
     fixed_point_solve,
     lu_solve as getrs_solve,
     residual_F,
@@ -24,6 +22,7 @@ from hbvm.nlsolve import (
     solve,
     splitting_solve,
     stages_from_gamma,
+    step_factors,
 )
 from hbvm.splitting import build_splitting
 from hbvm.tableau import build_tableau, leading_Xs
@@ -86,7 +85,7 @@ def test_lu_solve_matches_scipy_and_passes_nonfinite_through():
     # the separable fpu factor is an m x m LU; getrs on it is scipy's
     # lu_solve bit for bit, and a NaN in b comes out of both solves
     sysm = fpu_modified()
-    fac = factor_step_matrix(0.1, 0.3, sysm.hess(sysm.y0))
+    fac = step_factors(sysm.hess(sysm.y0), [0.1 * 0.3])[0]
     rng = np.random.default_rng(5)
     b = rng.standard_normal(14)
     assert fac.lu[0].shape == (14, 14)
@@ -133,7 +132,7 @@ def test_block_diagonal_correction_matches_kron_solve(s, m):
         dense = np.linalg.solve(np.eye(s * n) - h * np.kron(leading_Xs(s), B),
                                 -F.ravel()).reshape(s, n)
         hess0 = -apply_J(B.T).T  # J hess0 = B exactly: J only moves and negates
-        delta = _newton_correction(e, _newton_factors(e, h, hess0), F)
+        delta = _newton_correction(e, step_factors(hess0, h * e.lam), F)
         assert np.max(np.abs(delta - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -283,11 +282,11 @@ def test_solver_dispatch_rejects_unknown_name():
         solve(p, SolveOptions(solver="bogus"))
 
 
-def test_factor_step_matrix_solves_shifted_system():
+def test_step_factor_solves_shifted_system():
     sysm = charged_particle()
     h, d = 0.1, 0.28867513459481288
     hess0 = sysm.hess(sysm.y0)
-    fac = factor_step_matrix(h, d, hess0)
+    fac = step_factors(hess0, [h * d])[0]
     rng = np.random.default_rng(7)
     b = rng.standard_normal(6)
     x = fac.solve(b)
@@ -295,6 +294,29 @@ def test_factor_step_matrix_solves_shifted_system():
     assert (np.eye(6) - h * d * JH) @ x == pytest.approx(b, abs=1e-12)
     b[2] = np.nan
     assert not np.all(np.isfinite(fac.solve(b)))
+
+
+@pytest.mark.parametrize("system", [fpu_modified(), charged_particle()])
+def test_step_factor_of_a_complex_shift_with_zero_imaginary_part_is_real(system):
+    # Newton's real eigenvalues come as complex lam with lam.imag == 0; their
+    # factor is the real one, bit for bit, and solves with dgetrs
+    hess0 = system.hess(system.y0)
+    (real,), (cplx,) = step_factors(hess0, [0.05]), step_factors(hess0, [0.05 + 0j])
+    assert not np.iscomplexobj(cplx.lu[0])
+    assert np.array_equal(real.lu[0], cplx.lu[0]) and np.array_equal(real.lu[1], cplx.lu[1])
+    assert np.iscomplexobj(step_factors(hess0, [0.05 + 0.01j])[0].lu[0])
+
+
+@pytest.mark.parametrize("system", [fpu_modified(), charged_particle()])
+def test_step_factors_of_a_nonfinite_hessian_are_empty(monkeypatch, system):
+    import hbvm.nlsolve
+
+    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", None)  # must not be called
+    hess0 = system.hess(system.y0)
+    for value in (np.nan, np.inf):
+        bad = hess0.copy()
+        bad[0, 0] = value
+        assert step_factors(bad, [0.05, 0.05 + 0.01j]) == []
 
 
 def _hess_at_y0(system):
@@ -326,9 +348,9 @@ def test_step_factor_is_m_by_m_exactly_for_unit_mass_separable_hessians(monkeypa
         return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(hbvm.nlsolve, "lu_factor", counting)
-    factor_step_matrix(0.1, 0.3, hess0)
+    step_factors(hess0, [0.1 * 0.3])
     e = build_tableau(6, 3).eig
-    _newton_factors(e, 0.1, hess0)
+    step_factors(hess0, 0.1 * e.lam)
     assert shapes == [(size, size)] * (1 + len(e.lam))
 
 
@@ -338,7 +360,7 @@ def test_dense_step_factor_is_scipys_lu_of_the_step_matrix(h):
     B = apply_J(hess0.T).T
     e = build_tableau(6, 3).eig
     cs = [h * 0.3] + [h * (lam.real if real else lam) for lam, real in zip(e.lam, e.real)]
-    facs = [factor_step_matrix(h, 0.3, hess0)] + _newton_factors(e, h, hess0)
+    facs = step_factors(hess0, [h * 0.3, *(h * e.lam)])
     for c, fac in zip(cs, facs):
         (lu, piv), (ref_lu, ref_piv) = fac.lu, lu_factor(np.eye(6) - c * B)
         assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
@@ -373,7 +395,7 @@ def test_structured_step_factor_is_backward_stable(m, h, stiffness):
     B = apply_J(hess0.T).T
     for s in (1, 2, 3, 6):
         e = build_tableau(s, s).eig
-        facs = [factor_step_matrix(h, build_splitting(s).d, hess0)] + _newton_factors(e, h, hess0)
+        facs = step_factors(hess0, [h * build_splitting(s).d, *(h * e.lam)])
         cs = [h * build_splitting(s).d] + [h * (lam.real if real else lam)
                                            for lam, real in zip(e.lam, e.real)]
         for c, fac in zip(cs, facs):
@@ -396,7 +418,7 @@ def test_separable_sweep_is_backward_stable(m, h, stiffness):
     B = apply_J(hess0.T).T
     for s in range(1, 7):
         data = build_splitting(s)
-        fac = factor_step_matrix(h, data.d, hess0)
+        fac = step_factors(hess0, [h * data.d])[0]
         R = rng.standard_normal((s, 2 * m))
         D, BD = fac.sweep(data.L, R, h)
         A = np.eye(s * 2 * m) - h * np.kron(data.L, B)
@@ -424,7 +446,7 @@ def test_dense_sweeps_are_the_bare_factor_sweeps_bit_for_bit(s, mu):
     B = apply_J(hess0.T).T
     h, data = 0.1, build_splitting(s)
     T = data.L @ (data.U - np.eye(s))
-    fac = factor_step_matrix(h, data.d, hess0)
+    fac = step_factors(hess0, [h * data.d])[0]
     ref_fac = lu_factor(np.eye(6) - h * data.d * B)
     eta = np.random.default_rng([s, mu]).standard_normal((s, 6))
     assert np.array_equal(fac.sweep(data.L, eta, h),

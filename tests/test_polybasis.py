@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hbvm.polybasis import gauss_rule, legendre_eval, legendre_integral, xi
+from hbvm.polybasis import gauss_rule, legendre_basis, legendre_eval, legendre_integral, xi
+from hbvm.splitting import build_splitting
+from hbvm.tableau import build_tableau
 
 # Oracle for the degree-5 value: Gram-Schmidt on monomials over [0,1] with
 # exact rational arithmetic (sympy), evaluated at x = 3/10:
@@ -91,6 +93,23 @@ def test_recurrence_integral_consistency():
             lhs = legendre_integral(j, c)
             rhs = xi(j + 1) * legendre_eval(j + 1, c) - xi(j) * legendre_eval(j - 1, c)
             assert abs(lhs - rhs) < 1e-13
+
+
+@pytest.mark.parametrize("r", [1, 4, 7])
+def test_legendre_basis_columns_are_legendre_eval(r):
+    x = np.array([0.0, 0.13, 0.5, 0.91, 1.0])
+    P = legendre_basis(x, r)
+    assert P.shape == (len(x), r)
+    for j in range(r):
+        assert np.array_equal(P[:, j], legendre_eval(j, x))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_tableau_and_splitting_share_the_legendre_basis(s):
+    tab, data = build_tableau(s + 2, s), build_splitting(s)
+    assert np.array_equal(tab.Ps, legendre_basis(tab.c, s))
+    assert np.array_equal(tab.Ps1, legendre_basis(tab.c, s + 1))
+    assert np.array_equal(data.Phat, legendre_basis(data.chat, s))
 
 
 def test_rejects_bad_arguments():

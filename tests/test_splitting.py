@@ -3,6 +3,7 @@ import pytest
 
 from hbvm.polybasis import legendre_eval
 from hbvm.splitting import (
+    SplittingData,
     auxiliary_abscissae,
     build_splitting,
     crout_lu_constant_diag,
@@ -108,6 +109,18 @@ def test_splitting_data_invariants(s):
     # Phat really is the Legendre basis at the auxiliary abscissae
     for j in range(s):
         assert data.Phat[:, j] == pytest.approx(legendre_eval(j, data.chat))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_splitting_data_carries_T(s):
+    # T = L (U - I), bit for bit, for built data and for data constructed
+    # directly from other factors
+    data = build_splitting(s)
+    assert np.array_equal(data.T, data.L @ (data.U - np.eye(s)))
+    L, U = 2.0 * data.L, np.triu(data.U + 1.0, 1) + np.eye(s)
+    other = SplittingData(s=s, chat=data.chat, Phat=data.Phat, Ahat=L @ U, L=L, U=U, d=2 * data.d)
+    assert np.array_equal(other.T, L @ (U - np.eye(s)))
+    assert s == 1 or not np.array_equal(other.T, data.T)
 
 
 @pytest.mark.parametrize("s", range(2, 7))

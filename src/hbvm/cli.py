@@ -179,7 +179,7 @@ def cmd_sweep(args):
     try:
         runs = _parse_sweep_spec(text)
         configs = [_sweep_args(r) for r in runs]
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -192,6 +192,8 @@ def _sweep_args(run):
     unknown = sorted(set(run) - _SWEEP_KEYS)
     if unknown:
         raise ValueError(f"unknown sweep spec key {', '.join(map(repr, unknown))}")
+    if "h" not in run:
+        raise ValueError("missing required sweep spec key 'h'")
     ns = argparse.Namespace(
         problem=run.get("problem", "harmonic"),
         k=int(run.get("k", 2)),

@@ -26,10 +26,13 @@ step_factors(hess0, cs) is the one constructor of their factors: for each
 shift c a step factor with solve(b) and the splitting's inner sweeps, real
 when c has no imaginary part. When the Hessian's momentum rows are exactly [0 | I]
 (H = |p|^2/2 + V(q), unit mass), I - c B = [[I, -c I], [c V'', I]]: the
-factor is one m x m LU of S = I + c^2 V'', a solve is one m x m getrs and
-one V'' matvec, and a sweep eliminates the momenta of all s stages at once,
-so it needs one m x m getrs and one V'' matvec per stage and returns B D
-for the next sweep; no 2m x 2m matrix is formed. Any other Hessian is
+factor is one LU of the m x m matrix S = I + c^2 V'', a solve is one S solve
+and one V'' matvec, and a sweep eliminates the momenta of all s stages at
+once, so it needs one S solve and one V'' matvec per stage and returns B D
+for the next sweep; no 2m x 2m matrix is formed. S has the band of V'': when
+LAPACK band storage (2 kl + ku + 1 rows for the bandwidths kl, ku of V'')
+has fewer rows than m, S is built in band storage and factored by gbtrf,
+O(m) for a fixed band, else by a dense m x m getrf. Any other Hessian is
 factored densely, 2m x 2m with row pivoting, and its sweep forms each
 B Dnew_j once.
 
@@ -38,21 +41,21 @@ all k stage gradients in one grad call when the system declares
 stacked_grad (else one call per stage), the stage maps W = P_{s+1} Xhat and
 M = P_s^T Omega and the eigendecomposition of X_s come precomputed with the
 tableau, Phat comes factored with the splitting data, and every block solve
-calls LAPACK getrs directly (lu_solve). A non-finite gradient, correction
-or Hessian is not an error: it ends the step with converged=False. Every
-SolveResult counts the gradient and Hessian evaluations and the
-factorizations its step made.
+calls LAPACK getrs or gbtrs directly, the routine picked once per factor.
+lu_factor and lu_solve (from hbvm.lu) are the one factor and the one solve
+entry point; the step factors call them through this module's names. A
+non-finite gradient, correction or Hessian is not an error: it ends the step
+with converged=False. Every SolveResult counts the gradient and Hessian
+evaluations and the factorizations its step made.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs, zgetrs
 
 from .hamiltonian import HamiltonianSystem, apply_J, separable_hessian
-from .splitting import SplittingData
+from .lu import lu_factor, lu_solve
 from .tableau import HbvmTableau
 
 __all__ = [
@@ -112,21 +115,6 @@ class SolveResult:
     gradient_evaluations: int = 0
     hessian_evaluations: int = 0
     factorizations: int = 0
-
-
-def lu_solve(fac, b):
-    """x with A x = b, given fac = lu_factor(A).
-
-    The LAPACK getrs call of scipy.linalg.lu_solve without its finiteness and
-    shape checks: the same bits at a fraction of the overhead, and a
-    non-finite b gives a non-finite x instead of an exception. A complex
-    factor is solved by zgetrs, a real one by dgetrs.
-    """
-    getrs = zgetrs if np.iscomplexobj(fac[0]) else dgetrs
-    x, info = getrs(fac[0], fac[1], b)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
 
 
 def stages_from_gamma(p, gamma):
@@ -225,24 +213,37 @@ def _newton_correction(eig, facs, F):
 def step_factors(hess0, cs):
     """A step factor of I - c B, B = J hess0, for each shift c, or none at all
     when hess0 is not finite: an object whose solve(b) returns (I - c B)^{-1} b
-    and whose sweeps(L, T, eta, h, mu) run the inner iteration of the
-    splitting. A c with no imaginary part is factored in real arithmetic
-    (dgetrs solves), any other in complex.
+    and whose sweeps(L, T, h, mu) is the splitting's inner iteration. A c with
+    no imaginary part is factored in real arithmetic, any other in complex.
 
     If separable_hessian(hess0) (its momentum rows and columns are exactly
     [0 | I]), I - c B = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and
-    eliminating x_p leaves S = I + c^2 V'': one m x m LU per c, and no 2m
-    matrix is formed (_SeparableStep). Any other hess0 gets the dense
-    lu_factor(I - c B) (_DenseStep).
+    eliminating x_p leaves S = I + c^2 V'', which has the band of V''
+    (_SeparableStep); no 2m matrix is formed. With kl and ku the bandwidths
+    of the nonzero entries of V'', S is built and factored in LAPACK band
+    storage (gbtrf) when that storage, 2 kl + ku + 1 rows, has fewer rows
+    than m; otherwise it gets one dense m x m LU. Any other hess0 gets the
+    dense 2m x 2m lu_factor(I - c B) (_DenseStep).
     """
     if not np.all(np.isfinite(hess0)):
         return []
     cs = [c.real if c.imag == 0 else c for c in cs]
     if separable_hessian(hess0):
         m = hess0.shape[0] // 2
-        return [_SeparableStep(hess0[:m, :m], c) for c in cs]
+        V = hess0[:m, :m]
+        kl, ku = _bandwidths(V)
+        band = (kl, ku) if 2 * kl + ku + 1 < m else None
+        return [_SeparableStep(V, c, band) for c in cs]
     B = apply_J(hess0.T).T
     return [_DenseStep(B, c) for c in cs]
+
+
+def _bandwidths(V):
+    """(kl, ku): how far the nonzero entries of V reach below and above its
+    diagonal."""
+    i, j = np.nonzero(V)
+    d = j - i
+    return -int(d.min(initial=0)), int(d.max(initial=0))
 
 
 class _DenseStep:
@@ -268,17 +269,21 @@ class _DenseStep:
                 BD.append(self.B @ Dnew[i])
         return Dnew
 
-    def sweeps(self, L, T, eta, h, mu):
-        """mu sweeps from D = 0: [I - h L (x) B] D' = h T (x) B D + eta."""
-        D = self.sweep(L, eta, h)
-        for _ in range(mu - 1):
-            D = self.sweep(L, h * ((T @ D) @ self.B.T) + eta, h)
-        return D
+    def sweeps(self, L, T, h, mu):
+        """The inner iteration of one step, eta -> D: mu sweeps from D = 0 of
+        [I - h L (x) B] D' = h T (x) B D + eta."""
+        def run(eta):
+            D = self.sweep(L, eta, h)
+            for _ in range(mu - 1):
+                D = self.sweep(L, h * ((T @ D) @ self.B.T) + eta, h)
+            return D
+        return run
 
 
 class _SeparableStep:
-    """I - c B = [[I, -c I], [c V'', I]] through one m x m LU of
-    S = I + c^2 V''; B x = (x_p, -V'' x_q) is never formed as a matrix.
+    """I - c B = [[I, -c I], [c V'', I]] through one LU of S = I + c^2 V'':
+    in band storage for band = (kl, ku), else dense m x m. B x = (x_p, -V'' x_q)
+    is never formed as a matrix.
 
     c V'' is kept, so a complex c does not upcast the real V'' on every
     solve. The momentum block I is the pivot that eliminates x_p, without a
@@ -286,9 +291,12 @@ class _SeparableStep:
     for c^2 ||V''|| up to 1e12 (test_nlsolve checks 1e-13).
     """
 
-    def __init__(self, V, c):
+    def __init__(self, V, c, band):
         self.V, self.c, self.cV = V, c, c * V
-        self.lu = lu_factor(np.eye(len(V)) + c * self.cV)
+        if band is None:
+            self.lu = lu_factor(np.eye(len(V)) + c * self.cV)
+        else:
+            self.lu = lu_factor(_band_storage(c, self.cV, *band), band)
 
     def solve(self, b):
         """x_q = S^{-1} (b_q + c b_p), x_p = b_p - c V'' x_q."""
@@ -296,9 +304,9 @@ class _SeparableStep:
         xq = lu_solve(self.lu, b[:m] + self.c * b[m:])
         return np.concatenate([xq, b[m:] - self.cV @ xq])
 
-    def sweep(self, L, rhs, h):
-        """D = [Q | P] with [I - h L (x) B] D = rhs, and the rows B D_i as
-        B D = [P | -Q V''] (V'' symmetric).
+    def sweep(self, hL, L2, rhs):
+        """D = [Q | P] with [I - h L (x) B] D = rhs, given hL = h L and
+        L2 = hL hL, and the rows B D_i as B D = [P | -Q V''] (V'' symmetric).
 
         The momentum rows P = R_p - h L (Q V'') are eliminated for all stages
         at once, leaving Q + h^2 L^2 (Q V'') = R_q + h L R_p; its diagonal
@@ -306,8 +314,6 @@ class _SeparableStep:
         one lu_solve and one V'' matvec per stage.
         """
         m = len(self.V)
-        hL = h * L
-        L2 = hL @ hL
         Q = rhs[:, :m] + hL @ rhs[:, m:]
         QV = np.empty_like(Q)
         for i in range(len(rhs)):
@@ -316,13 +322,32 @@ class _SeparableStep:
         P = rhs[:, m:] - hL @ QV
         return np.concatenate([Q, P], axis=1), np.concatenate([P, -QV], axis=1)
 
-    def sweeps(self, L, T, eta, h, mu):
-        """mu sweeps from D = 0: [I - h L (x) B] D' = h T (x) B D + eta; each
-        sweep returns the B D that the next right-hand side needs."""
-        D, BD = self.sweep(L, eta, h)
-        for _ in range(mu - 1):
-            D, BD = self.sweep(L, h * (T @ BD) + eta, h)
-        return D
+    def sweeps(self, L, T, h, mu):
+        """The inner iteration of one step, eta -> D: mu sweeps from D = 0 of
+        [I - h L (x) B] D' = h T (x) B D + eta. h L and (h L)^2 are formed
+        once per step, and each sweep returns the B D that the next
+        right-hand side needs."""
+        hL = h * L
+        L2 = hL @ hL
+
+        def run(eta):
+            D, BD = self.sweep(hL, L2, eta)
+            for _ in range(mu - 1):
+                D, BD = self.sweep(hL, L2, h * (T @ BD) + eta)
+            return D
+        return run
+
+
+def _band_storage(c, cV, kl, ku):
+    """S = I + c cV in LAPACK band storage for the bandwidths kl, ku:
+    diagonal d of S in row kl + ku - d, the first kl rows left zero for
+    gbtrf. Only the band of cV is read."""
+    m = len(cV)
+    ab = np.zeros((2 * kl + ku + 1, m), dtype=cV.dtype)
+    for d in range(-kl, ku + 1):
+        ab[kl + ku - d, max(d, 0):m + min(d, 0)] = c * cV.diagonal(d)
+    ab[kl + ku] += 1.0
+    return ab
 
 
 def splitting_solve(p, data, opts=SolveOptions()):
@@ -342,11 +367,11 @@ def splitting_solve(p, data, opts=SolveOptions()):
     # and goes together with that pin (ROADMAP item 1)
     p.system.hess(p.y0_step)
     facs = step_factors(p.system.hess(p.y0_step), [h * data.d])
-    L, Phat, Phat_lu = data.L, data.Phat, data.Phat_lu
+    inner = facs[0].sweeps(data.L, data.T, h, opts.mu) if facs else None
+    Phat, Phat_lu = data.Phat, data.Phat_lu
 
     def step(ghat):
-        eta = -(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
-        D = facs[0].sweeps(L, data.T, eta, h, opts.mu)
+        D = inner(-(Phat @ residual_F(p, lu_solve(Phat_lu, ghat))))
         return ghat + D, D
 
     res = _iterate(p, opts, step, opts.max_outer if facs else 0,

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor
 
+from .lu import LU, lu_factor
 from .polybasis import legendre_basis
 from .tableau import det_Xs, leading_Xs
 
@@ -68,7 +68,7 @@ class SplittingData:
     L: np.ndarray     # lower triangular, constant diagonal d
     U: np.ndarray     # unit upper triangular
     d: float
-    Phat_lu: tuple = field(init=False, repr=False)  # lu_factor(Phat), made once
+    Phat_lu: LU = field(init=False, repr=False)     # lu_factor(Phat), made once
     T: np.ndarray = field(init=False, repr=False)   # L (U - I), made once
 
     def __post_init__(self):

@@ -215,6 +215,15 @@ def test_sweep_rejects_unknown_keys(tmp_path, capsys):
     assert out == ""
 
 
+def test_sweep_names_a_missing_step_size(tmp_path, capsys):
+    spec = tmp_path / "bad.txt"
+    spec.write_text("[run]\nk = 2\n")
+    code, out, err = run_cli(capsys, "sweep", str(spec))
+    assert code == 2
+    assert err.strip() == "error: missing required sweep spec key 'h'"
+    assert out == ""
+
+
 def test_integrate_and_sweep_default_to_solve_options():
     args = build_parser().parse_args(["integrate", "--problem", "harmonic",
                                       "--h", "0.1", "--t-end", "1"])

@@ -151,8 +151,9 @@ def _counting(system, stacked):
 @pytest.mark.parametrize("factory,h", [(fpu_modified, 0.01), (charged_particle, 0.1)])
 def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver, hess_per_step):
     # one NaN Hessian entry from the third step on: V'' of the separable fpu
-    # factor, the dense factor of the charged particle; the run ends at 2h
-    # without an exception or a warning, and the counters are the real calls
+    # factor (tridiagonal, band storage), the dense factor of the charged
+    # particle; the run ends at 2h without an exception or a warning, and the
+    # counters are the real calls
     import hbvm.nlsolve
 
     base = factory()
@@ -168,7 +169,7 @@ def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver,
     factors = []
 
     def lu_factor(a, *args, **kwargs):
-        factors.append(a.shape)
+        factors.append((a.shape, args))
         return real_lu_factor(a, *args, **kwargs)
 
     real_lu_factor = hbvm.nlsolve.lu_factor
@@ -184,6 +185,8 @@ def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver,
     assert stats.hessian_evaluations == calls["hess"] == 3 * hess_per_step
     assert stats.gradient_evaluations == calls["grad"] > 0
     assert stats.factorizations == len(factors) > 0
+    storage = {fpu_modified: ((4, 14), ((1, 1),)), charged_particle: ((6, 6), ())}
+    assert factors == [storage[factory]] * len(factors)
 
 
 @pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])

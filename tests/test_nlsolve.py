@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbvm.hamiltonian import (
     HamiltonianSystem,
@@ -16,7 +18,8 @@ from hbvm.nlsolve import (
     StageProblem,
     _newton_correction,
     fixed_point_solve,
-    lu_solve as getrs_solve,
+    lu_factor as factor_lu,
+    lu_solve as solve_lu,
     residual_F,
     simplified_newton_solve,
     solve,
@@ -28,6 +31,7 @@ from hbvm.splitting import build_splitting
 from hbvm.tableau import build_tableau, leading_Xs
 
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 
 def _problem(system, k, s, h, y0=None):
@@ -81,17 +85,40 @@ def test_stage_maps_are_cached_on_the_tableau():
     assert np.array_equal(t.A, t.Ps1 @ t.Xhat @ t.Ps.T @ t.Omega)
 
 
+def _band_of(A, kl, ku):
+    """A in LAPACK band storage: row kl + ku + i - j holds A[i, j], the first
+    kl rows zero (gbtrf's workspace)."""
+    m = len(A)
+    ab = np.zeros((2 * kl + ku + 1, m), dtype=A.dtype)
+    for i in range(m):
+        for j in range(max(0, i - kl), min(m, i + ku + 1)):
+            ab[kl + ku + i - j, j] = A[i, j]
+    return ab
+
+
 def test_lu_solve_matches_scipy_and_passes_nonfinite_through():
-    # the separable fpu factor is an m x m LU; getrs on it is scipy's
-    # lu_solve bit for bit, and a NaN in b comes out of both solves
+    # the separable fpu factor is the gbtrf band LU of S = I + c^2 V''
+    # (tridiagonal, m = 14); lu_solve on it is LAPACK's gbtrs bit for bit and
+    # solves S, a dense factor's lu_solve is scipy's, and a NaN in b comes
+    # out of the solves
     sysm = fpu_modified()
-    fac = step_factors(sysm.hess(sysm.y0), [0.1 * 0.3])[0]
+    c = 0.1 * 0.3
+    hess0 = sysm.hess(sysm.y0)
+    fac = step_factors(hess0, [c])[0]
+    S = np.eye(14) + c * (c * hess0[:14, :14])
+    ref_lu, ref_piv, info = dgbtrf(_band_of(S, 1, 1), 1, 1)
+    assert info == 0 and fac.lu.lu.shape == (4, 14)
+    assert np.array_equal(fac.lu.lu, ref_lu) and np.array_equal(fac.lu.piv, ref_piv)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(14)
-    assert fac.lu[0].shape == (14, 14)
-    assert np.array_equal(getrs_solve(fac.lu, b), lu_solve(fac.lu, b))
+    x = solve_lu(fac.lu, b)
+    assert np.array_equal(x, dgbtrs(ref_lu, 1, 1, b, ref_piv)[0])
+    assert _backward_error(S, x, b) <= 1e-15
+    dense = factor_lu(S)
+    assert np.array_equal(solve_lu(dense, b), lu_solve(lu_factor(S), b))
     b[3] = np.nan
-    assert not np.all(np.isfinite(getrs_solve(fac.lu, b)))
+    assert not np.all(np.isfinite(solve_lu(fac.lu, b)))
+    assert not np.all(np.isfinite(solve_lu(dense, b)))
     b = rng.standard_normal(28)
     b[3] = np.nan
     assert not np.all(np.isfinite(fac.solve(b)))
@@ -100,11 +127,23 @@ def test_lu_solve_matches_scipy_and_passes_nonfinite_through():
 def test_complex_lu_solve_matches_scipy_and_passes_nonfinite_through():
     rng = np.random.default_rng(6)
     A = np.eye(10) - (0.1 + 0.3j) * rng.standard_normal((10, 10))
-    fac = lu_factor(A)
+    fac = factor_lu(A)
+    assert np.array_equal(fac.lu, lu_factor(A)[0]) and np.array_equal(fac.piv, lu_factor(A)[1])
     b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    assert np.array_equal(getrs_solve(fac, b), lu_solve(fac, b))
+    assert np.array_equal(solve_lu(fac, b), lu_solve(lu_factor(A), b))
     b[3] = np.nan
-    assert not np.all(np.isfinite(getrs_solve(fac, b)))
+    assert not np.all(np.isfinite(solve_lu(fac, b)))
+
+
+def test_singular_factor_warns_in_both_storages():
+    # as scipy's lu_factor does; the solve then gives a non-finite x
+    from scipy.linalg import LinAlgWarning
+
+    S = np.diag([1.0, 0.0, 2.0, 3.0, 4.0])
+    for fac in (lambda: factor_lu(S), lambda: factor_lu(_band_of(S, 1, 1), (1, 1))):
+        with pytest.warns(LinAlgWarning, match="Singular"):
+            lu = fac()
+        assert not np.all(np.isfinite(solve_lu(lu, np.ones(5))))
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -329,8 +368,31 @@ def _perturbed(hess, i, j, value):
     return out
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """(shape, band) of every call of the module-level lu_factor of nlsolve,
+    which the benchmark tracer counts."""
+    import hbvm.nlsolve
+
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append((a.shape, args))
+        return factor_lu(a, *args, **kwargs)
+
+    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", counting)
+    return calls
+
+
+def _ring(hess):
+    # the fpu chain with its end masses coupled: V'' is no longer banded
+    out = hess.copy()
+    out[0, 13] = out[13, 0] = -1.0
+    return out
+
+
 @pytest.mark.parametrize("hess0,size", [
-    (_hess_at_y0(fpu_modified()), 14),
+    (_ring(_hess_at_y0(fpu_modified())), 14),
     (_hess_at_y0(harmonic_oscillator(2.0)), 1),
     (_hess_at_y0(charged_particle()), 6),
     # one fpu entry off [0 | I] in the momentum rows or columns: dense
@@ -338,20 +400,43 @@ def _perturbed(hess, i, j, value):
     (_perturbed(_hess_at_y0(fpu_modified()), 14, 0, 1e-300), 28),
     (_perturbed(_hess_at_y0(fpu_modified()), 15, 15, np.nextafter(1.0, 2.0)), 28),
 ])
-def test_step_factor_is_m_by_m_exactly_for_unit_mass_separable_hessians(monkeypatch, hess0, size):
-    import hbvm.nlsolve
-
-    shapes = []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return lu_factor(a, *args, **kwargs)
-
-    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", counting)
+def test_step_factor_is_m_by_m_exactly_for_unit_mass_separable_hessians(factored, hess0, size):
+    # a V'' too wide for band storage gets a dense m x m LU (a banded one gets
+    # band storage: test_step_factor_storage_follows_the_band)
     step_factors(hess0, [0.1 * 0.3])
     e = build_tableau(6, 3).eig
     step_factors(hess0, 0.1 * e.lam)
-    assert shapes == [(size, size)] * (1 + len(e.lam))
+    assert factored == [((size, size), ())] * (1 + len(e.lam))
+
+
+def _banded_psd_hess(m, kl, h, stiffness, rng):
+    # V'' random symmetric with kl nonzero diagonals on each side, made
+    # positive definite by a dominant diagonal, scaled as in _separable_hess
+    A = np.triu(np.tril(rng.standard_normal((m, m)), kl), -kl)
+    V = A + A.T
+    V += np.diag(np.abs(V).sum(axis=1) + rng.random(m))
+    V *= 4.0 * stiffness / (h * h * np.linalg.norm(V, 2))
+    hess0 = np.eye(2 * m)
+    hess0[:m, :m] = V
+    return hess0
+
+
+@pytest.mark.parametrize("m,kl,rows", [
+    (14, 1, 4),       # the fpu chain's width
+    (8, 2, 7),        # 2 kl + ku + 1 = 7 < 8: band storage
+    (7, 2, None),     # 7 rows would save nothing: dense 7 x 7
+    (6, 0, 1),        # diagonal V''
+    (1, 0, None),     # a 1 x 1 V'' stays dense
+    (40, 13, None),   # 40 rows for m = 40: dense
+])
+def test_step_factor_storage_follows_the_band(factored, m, kl, rows):
+    # band storage (2 kl + ku + 1 rows, gbtrf) exactly when it has fewer rows
+    # than m; every shift of the step, real or complex, gets the same form
+    hess0 = _banded_psd_hess(m, kl, 0.1, 1.0, np.random.default_rng([m, kl]))
+    e = build_tableau(6, 3).eig
+    step_factors(hess0, [0.1 * 0.3, *(0.1 * e.lam)])
+    expected = ((m, m), ()) if rows is None else ((rows, m), ((kl, kl),))
+    assert factored == [expected] * (1 + len(e.lam))
 
 
 @pytest.mark.parametrize("h", [0.1, 1.0])
@@ -362,7 +447,7 @@ def test_dense_step_factor_is_scipys_lu_of_the_step_matrix(h):
     cs = [h * 0.3] + [h * (lam.real if real else lam) for lam, real in zip(e.lam, e.real)]
     facs = step_factors(hess0, [h * 0.3, *(h * e.lam)])
     for c, fac in zip(cs, facs):
-        (lu, piv), (ref_lu, ref_piv) = fac.lu, lu_factor(np.eye(6) - c * B)
+        (lu, piv, _), (ref_lu, ref_piv) = fac.lu, lu_factor(np.eye(6) - c * B)
         assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
         b = np.random.default_rng(3).standard_normal(6)
         assert np.array_equal(fac.solve(b), lu_solve((ref_lu, ref_piv), b))
@@ -420,19 +505,50 @@ def test_separable_sweep_is_backward_stable(m, h, stiffness):
         data = build_splitting(s)
         fac = step_factors(hess0, [h * data.d])[0]
         R = rng.standard_normal((s, 2 * m))
-        D, BD = fac.sweep(data.L, R, h)
+        hL = h * data.L
+        D, BD = fac.sweep(hL, hL @ hL, R)
         A = np.eye(s * 2 * m) - h * np.kron(data.L, B)
         assert _backward_error(A, D.ravel(), R.ravel()) <= 1e-13
         assert np.max(np.abs(BD - D @ B.T)) <= 1e-14 * np.linalg.norm(B, np.inf) * np.max(np.abs(D))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(m=st.integers(1, 40), kl=st.integers(0, 3), h=st.sampled_from([0.1, 1.0]),
+       stiffness=st.sampled_from([1e-3, 1.0, 1e6, 1e12]), s=st.sampled_from([1, 2, 3, 6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_step_factor_solves_and_sweeps_are_backward_stable(m, kl, h, stiffness, s, seed):
+    # the gbtrf factor of a banded S = I + c^2 V'' solves I - c B for real
+    # c = h d_s and complex c = h lam_j, and one sweep solves
+    # [I - h L (x) B] D = R, with backward error at rounding level
+    rng = np.random.default_rng(seed)
+    hess0 = _banded_psd_hess(m, kl, h, stiffness, rng)
+    B = apply_J(hess0.T).T
+    data, e = build_splitting(s), build_tableau(s, s).eig
+    banded = 3 * kl + 1 < m
+    facs = step_factors(hess0, [h * data.d, *(h * e.lam)])
+    cs = [h * data.d] + [h * (lam.real if real else lam) for lam, real in zip(e.lam, e.real)]
+    for c, fac in zip(cs, facs):
+        assert fac.lu.lu.shape == ((3 * kl + 1, m) if banded else (m, m))
+        b = rng.standard_normal(2 * m)
+        if np.iscomplexobj(c):
+            b = b + 1j * rng.standard_normal(2 * m)
+        assert _backward_error(np.eye(2 * m) - c * B, fac.solve(b), b) <= 1e-13
+    R = rng.standard_normal((s, 2 * m))
+    hL = h * data.L
+    D, BD = facs[0].sweep(hL, hL @ hL, R)
+    A = np.eye(s * 2 * m) - h * np.kron(data.L, B)
+    assert _backward_error(A, D.ravel(), R.ravel()) <= 1e-13
+    assert np.max(np.abs(BD - D @ B.T)) <= 1e-14 * np.linalg.norm(B, np.inf) * np.max(np.abs(D))
+    assert np.array_equal(facs[0].sweeps(data.L, data.T, h, 1)(R), D)
+
+
 def _reference_dense_sweep(fac, B, L, rhs, h):
-    """Reference inner sweep over a bare scipy (lu, piv) factor and a dense B."""
+    """Reference inner sweep over a bare dense LU factor and a dense B."""
     s = len(rhs)
     Dnew = np.empty_like(rhs)
     BD = []
     for i in range(s):
-        Dnew[i] = getrs_solve(fac, rhs[i] + h * sum(L[i, j] * BD[j] for j in range(i)))
+        Dnew[i] = solve_lu(fac, rhs[i] + h * sum(L[i, j] * BD[j] for j in range(i)))
         if i < s - 1:
             BD.append(B @ Dnew[i])
     return Dnew
@@ -447,43 +563,39 @@ def test_dense_sweeps_are_the_bare_factor_sweeps_bit_for_bit(s, mu):
     h, data = 0.1, build_splitting(s)
     T = data.L @ (data.U - np.eye(s))
     fac = step_factors(hess0, [h * data.d])[0]
-    ref_fac = lu_factor(np.eye(6) - h * data.d * B)
+    ref_fac = factor_lu(np.eye(6) - h * data.d * B)
     eta = np.random.default_rng([s, mu]).standard_normal((s, 6))
     assert np.array_equal(fac.sweep(data.L, eta, h),
                           _reference_dense_sweep(ref_fac, B, data.L, eta, h))
     D = _reference_dense_sweep(ref_fac, B, data.L, eta, h)
     for _ in range(mu - 1):
         D = _reference_dense_sweep(ref_fac, B, data.L, h * ((T @ D) @ B.T) + eta, h)
-    assert np.array_equal(fac.sweeps(data.L, T, eta, h, mu), D)
+    assert np.array_equal(fac.sweeps(data.L, T, h, mu)(eta), D)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 6])
-def test_separable_path_factors_and_solves_m_by_m_once_per_block(monkeypatch, s):
+def test_separable_path_factors_and_solves_m_by_m_once_per_block(monkeypatch, factored, s):
     # the benchmark tracer counts calls of the module-level lu_factor and
-    # lu_solve: one m x m factor per step matrix and one call per block solve
+    # lu_solve: one factor per step matrix, in band storage for the
+    # tridiagonal chain (4 x m), and one call per block solve
     import hbvm.nlsolve
 
     m = 8
-    factored, solved = [], []
-
-    def counting_factor(a, *args, **kwargs):
-        factored.append(a.shape)
-        return lu_factor(a, *args, **kwargs)
+    solved = []
 
     def counting_solve(fac, b):
-        solved.append(fac[0].shape)
-        return getrs_solve(fac, b)
+        solved.append(fac.lu.shape)
+        return solve_lu(fac, b)
 
-    monkeypatch.setattr(hbvm.nlsolve, "lu_factor", counting_factor)
     monkeypatch.setattr(hbvm.nlsolve, "lu_solve", counting_solve)
     p = _problem(_fpu_type_chain(m // 2, np.random.default_rng(s)), 2 * s, s, 0.1)
     mu = 3
     split = splitting_solve(p, build_splitting(s), SolveOptions(mu=mu))
     assert split.converged
-    assert factored == [(m, m)]
+    assert factored == [((4, m), ((1, 1),))]
     # mu sweeps of s block solves per outer step, and one Phat solve per
     # outer step plus one for the result
-    assert solved.count((m, m)) == mu * s * split.outer_iterations
+    assert solved.count((4, m)) == mu * s * split.outer_iterations
     assert solved.count((s, s)) == split.outer_iterations + 1
     assert len(solved) == (mu * s + 1) * split.outer_iterations + 1
 
@@ -492,8 +604,8 @@ def test_separable_path_factors_and_solves_m_by_m_once_per_block(monkeypatch, s)
     newton = simplified_newton_solve(p, SolveOptions())
     assert newton.converged
     blocks = (s + 1) // 2
-    assert factored == [(m, m)] * blocks
-    assert solved == [(m, m)] * (blocks * newton.outer_iterations)
+    assert factored == [((4, m), ((1, 1),))] * blocks
+    assert solved == [(4, m)] * (blocks * newton.outer_iterations)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

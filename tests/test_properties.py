@@ -1,15 +1,18 @@
-"""Property tests on random separable quartic Hamiltonians.
+"""Property tests on random polynomial Hamiltonians.
 
-H = |p|^2/2 + q^T K q/2 + sum_j (s_j^T q)^4/4 is a polynomial of degree 4, so
-HBVM(6,3) (degree <= 2k/s) conserves it to rounding, and the splitting and
-simplified Newton solve the same stage equations. Each example draws m and a
-seed; the seed fixes K (positive definite) and the quartic directions s_j.
+HBVM(k, s) conserves a polynomial H of degree <= 2k/s to rounding.
+H = |p|^2/2 + q^T K q/2 + sum_j (s_j^T q)^4/4 is a separable quartic, so
+HBVM(6,3) conserves it, and the splitting and simplified Newton solve the same
+stage equations. Each example draws m and a seed; the seed fixes K (positive
+definite) and the quartic directions s_j. The non-separable
+H = y^T K y/2 + sum_j (a_j^T y)^nu/nu, with a_j mixing q and p, takes the
+dense step factor, for several (k, s) and nu = floor(2k/s).
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbvm.hamiltonian import HamiltonianSystem
+from hbvm.hamiltonian import HamiltonianSystem, separable_hessian
 from hbvm.integrator import RunConfig, integrate
 from hbvm.nlsolve import SolveOptions, StageProblem, simplified_newton_solve, splitting_solve
 from hbvm.splitting import build_splitting
@@ -63,3 +66,37 @@ def test_one_splitting_step_agrees_with_one_newton_step(m, seed):
     assert sp.converged and nw.converged
     y_sp, y_nw = sysm.y0 + h * sp.gamma[0], sysm.y0 + h * nw.gamma[0]
     assert np.max(np.abs(y_sp - y_nw)) <= 1e-10 * (1.0 + np.max(np.abs(y_nw)))
+
+
+def random_nonseparable(m, nu, seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * m
+    A = rng.standard_normal((n, n))
+    K = A @ A.T / n + np.eye(n)
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+
+    def H(y):
+        return 0.5 * y @ K @ y + np.sum((a @ y) ** nu) / nu
+
+    def grad(y):
+        return K @ y + a.T @ (a @ y) ** (nu - 1)
+
+    def hess(y):
+        return K + a.T @ ((nu - 1) * (a @ y)[:, None] ** (nu - 2) * a)
+
+    return HamiltonianSystem(m=m, H=H, grad=grad, hess=hess,
+                             y0=0.5 * rng.standard_normal(n), label=f"poly{nu}-m{m}")
+
+
+@PROPERTY
+@given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       ks=st.sampled_from([(2, 1), (3, 1), (4, 2), (6, 2), (5, 3), (8, 4)]))
+def test_hbvm_conserves_random_nonseparable_polynomial_energy(m, seed, ks):
+    k, s = ks
+    nu = 2 * k // s
+    sysm = random_nonseparable(m, nu, seed)
+    assert not separable_hessian(sysm.hess(sysm.y0))
+    _, stats = integrate(RunConfig(system=sysm, k=k, s=s, h=0.05, t_end=0.25,
+                                   options=SolveOptions(solver="splitting"), store_every=0))
+    assert stats.all_converged and stats.steps == 5
+    assert stats.max_hamiltonian_error <= 1e-10 * abs(sysm.H(sysm.y0))

@@ -120,22 +120,25 @@ def _stats_row(args, stats, sol_err=None):
     ])
 
 
-def _run_one(args):
+def _plan(args):
+    """(system, run): every parameter of the run args describe is checked
+    here (ValueError), and run() -> (traj, stats) then makes the run."""
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
     if args.solver == "composition6":
-        traj, stats = composition6_stormer_verlet(system, args.h, args.t_end,
-                                                  store_every=args.every)
-        return traj, stats, system
+        if args.h <= 0 or args.t_end <= 0:
+            raise ValueError("require h > 0 and t_end > 0")
+        return system, lambda: composition6_stormer_verlet(
+            system, args.h, args.t_end, store_every=args.every)
     cfg = RunConfig(system=system, k=args.k, s=args.s, h=args.h,
                     t_end=args.t_end, options=_solve_options(args),
                     store_every=args.every)
-    traj, stats = integrate(cfg)
-    return traj, stats, system
+    return system, lambda: integrate(cfg)
 
 
 def cmd_integrate(args):
-    traj, stats, system = _run_one(args)
+    system, run = _plan(args)
+    traj, stats = run()
     if args.out:
         header = "t," + ",".join(f"y{i+1}" for i in range(system.dim))
         rows = [[t] + list(state) for t, state in zip(traj.times, traj.states)]
@@ -170,6 +173,9 @@ def _parse_sweep_spec(text):
 
 
 def cmd_sweep(args):
+    """One stats row per [run] block. Every block is checked before the first
+    run starts, except that a composition6 run on a non-separable problem
+    fails only when it starts; either way the sweep exits 2 with no rows."""
     try:
         with open(args.spec) as f:
             text = f.read()
@@ -177,13 +183,13 @@ def cmd_sweep(args):
         print(f"error: cannot read spec: {e}", file=sys.stderr)
         return 3
     try:
-        runs = _parse_sweep_spec(text)
-        configs = [_sweep_args(r) for r in runs]
+        configs = [_sweep_args(r) for r in _parse_sweep_spec(text)]
+        runs = [_plan(cfg)[1] for cfg in configs]
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    rows = [_stats_row(cfg, _run_one(cfg)[1]) for cfg in configs]
+    rows = [_stats_row(cfg, run()[1]) for cfg, run in zip(configs, runs)]
     _write(args.out, STATS_HEADER + "\n" + "".join(r + "\n" for r in rows))
     return 0
 

@@ -135,19 +135,16 @@ def residual_F(p, gamma):
     return gamma - _gamma_image(p, gamma)
 
 
-def _stop(delta, gamma, tol):
-    return np.max(np.abs(delta)) <= tol * (1.0 + np.max(np.abs(gamma)))
-
-
 def _iterate(p, opts, step, cap, out=lambda x: x):
     """The outer iteration all three solvers share.
 
-    From x = 0 (an (s, 2m) array), x, delta = step(x) runs until delta is
-    small relative to x, x stops being finite, or cap iterations are spent;
-    out maps the final x to gamma. Divergence shows up as overflow before the
-    finiteness check trips; it is data (a *** table entry), not an
-    arithmetic error, and ends the step with converged=False. With cap 0 (no
-    step factors: a non-finite Hessian) the step fails before iterating.
+    From x = 0 (an (s, 2m) array), x, delta = step(x) runs until
+    max|delta| <= tol (1 + max|x|), max|x| (NaN or inf if any entry is) stops
+    being finite, or cap iterations are spent; out maps the final x to gamma.
+    Divergence shows up as overflow before the finiteness check trips; it is
+    data (a *** table entry), not an arithmetic error, and ends the step with
+    converged=False. With cap 0 (no step factors: a non-finite Hessian) the
+    step fails before iterating.
     """
     grads_per_residual = 1 if p.system.stacked_grad else p.tableau.k
 
@@ -155,15 +152,17 @@ def _iterate(p, opts, step, cap, out=lambda x: x):
         return SolveResult(out(x), it, 0, converged, norm, it,
                            gradient_evaluations=grads_per_residual * it)
 
-    x, delta = np.zeros((p.tableau.s, p.system.dim)), np.inf
+    x, norm = np.zeros((p.tableau.s, p.system.dim)), np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cap + 1):
             x, delta = step(x)
-            if not np.all(np.isfinite(x)):
+            scale = np.abs(x).max()
+            if not np.isfinite(scale):
                 return result(x, it, False, np.inf)
-            if _stop(delta, x, opts.tol):
-                return result(x, it, True, float(np.max(np.abs(delta))))
-        return result(x, cap, False, float(np.max(np.abs(delta))))
+            norm = float(np.abs(delta).max())
+            if norm <= opts.tol * (1.0 + scale):
+                return result(x, it, True, norm)
+        return result(x, cap, False, norm)
 
 
 def fixed_point_solve(p, opts=SolveOptions()):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hbvm.cli import STATS_HEADER, _solve_options, _sweep_args, build_parser, main
+from hbvm.integrator import integrate
 from hbvm.nlsolve import SolveOptions
 
 
@@ -222,6 +223,24 @@ def test_sweep_names_a_missing_step_size(tmp_path, capsys):
     assert code == 2
     assert err.strip() == "error: missing required sweep spec key 'h'"
     assert out == ""
+
+
+@pytest.mark.parametrize("bad_block,message", [
+    ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1"),
+    ("omega = -1\nh = 0.1\n", "omega must be positive"),
+    ("solver = composition6\nh = -0.1\n", "require h > 0 and t_end > 0"),
+])
+def test_sweep_checks_every_run_before_the_first_starts(tmp_path, capsys, monkeypatch,
+                                                        bad_block, message):
+    import hbvm.cli
+
+    calls = []
+    monkeypatch.setattr(hbvm.cli, "integrate", lambda cfg: calls.append(cfg) or integrate(cfg))
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("[run]\nh = 0.1\nt_end = 0.2\n\n[run]\n" + bad_block)
+    code, out, err = run_cli(capsys, "sweep", str(spec))
+    assert (code, out, len(calls)) == (2, "", 0)
+    assert message in err
 
 
 def test_integrate_and_sweep_default_to_solve_options():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbvm.hamiltonian import (
     apply_J,
@@ -183,6 +185,112 @@ def test_fpu_quartic_only_at_zero_configuration():
     p = RNG.standard_normal(14)
     y = np.concatenate([np.zeros(14), p])
     assert sysm.H(y) == pytest.approx(0.5 * p @ p, rel=1e-15)
+
+
+def _reference_fpu_kernels():
+    """H, grad and hess of fpu_modified as index arrays, zero-padded copies,
+    scatter-adds and loops over the springs: the reference the slice-based
+    kernels must match bit for bit."""
+    n = 7
+    dim_q = 2 * n
+    w = np.full(n, 10.0)
+    w[3] = 1.0e4
+    w2 = w * w
+    odd = np.arange(0, dim_q, 2)   # indices of q_{2i-1} (0-based)
+    even = np.arange(1, dim_q, 2)  # indices of q_{2i}
+
+    def _split(state):
+        return state[..., :dim_q], state[..., dim_q:]
+
+    def _ext(q):
+        # q with the q_0 = q_{2n+1} = 0 boundary values attached
+        zero = np.zeros(q.shape[:-1] + (1,))
+        return np.concatenate([zero, q, zero], axis=-1)
+
+    def H(state):
+        q, p = _split(state)
+        quad = 0.25 * np.sum(w2 * (q[even] - q[odd]) ** 2)
+        qe = _ext(q)
+        quart = np.sum((qe[1::2] - qe[0::2]) ** 4)  # (q_{2i+1} - q_{2i})^4, i = 0..n
+        return 0.5 * p @ p + quad + quart
+
+    def grad(state):
+        q, p = _split(state)
+        g_q = np.zeros(q.shape)
+        springs = 0.5 * w2 * (q[..., even] - q[..., odd])
+        g_q[..., odd] -= springs
+        g_q[..., even] += springs
+        qe = _ext(q)
+        cubes = 4.0 * (qe[..., 1::2] - qe[..., 0::2]) ** 3  # i = 0..n
+        # term i couples q_{2i+1} (+) and q_{2i} (-); boundary entries drop
+        g_quart = np.zeros(qe.shape)
+        g_quart[..., 1::2] += cubes
+        g_quart[..., 0::2] -= cubes
+        g_q += g_quart[..., 1:-1]
+        return np.concatenate([g_q, p], axis=-1)
+
+    def hess(state):
+        q, _ = _split(state)
+        Hq = np.zeros((dim_q, dim_q))
+        for i in range(n):
+            o, e = odd[i], even[i]
+            Hq[o, o] += 0.5 * w2[i]
+            Hq[e, e] += 0.5 * w2[i]
+            Hq[o, e] -= 0.5 * w2[i]
+            Hq[e, o] -= 0.5 * w2[i]
+        qe = _ext(q)
+        curv = 12.0 * (qe[1::2] - qe[0::2]) ** 2  # i = 0..n
+        for i in range(n + 1):
+            lo, hi = 2 * i, 2 * i + 1  # extended indices of q_{2i}, q_{2i+1}
+            for r in (lo, hi):
+                for ccol in (lo, hi):
+                    if 1 <= r <= dim_q and 1 <= ccol <= dim_q:
+                        sign = 1.0 if r == ccol else -1.0
+                        Hq[r - 1, ccol - 1] += sign * curv[i]
+        M = np.zeros((2 * dim_q, 2 * dim_q))
+        M[:dim_q, :dim_q] = Hq
+        M[dim_q:, dim_q:] = np.eye(dim_q)
+        return M
+
+    return H, grad, hess
+
+
+REFERENCE_FPU = _reference_fpu_kernels()
+FPU_STATES = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+
+def _fpu_states(rows, seed, log_scale, zero_frac):
+    """rows states (rows = None: one state) around y0, scaled by 10^log_scale,
+    with about zero_frac of the entries set to +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    shape = (28,) if rows is None else (rows, 28)
+    y = fpu_modified().y0 + 10.0 ** log_scale * rng.standard_normal(shape)
+    zeros = rng.random(shape) < zero_frac
+    y[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return y
+
+
+def _same_bits(a, b):
+    """np.array_equal, and the same sign of every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@FPU_STATES
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3, 3),
+       zero_frac=st.sampled_from([0.0, 0.2, 0.6]))
+def test_fpu_kernels_equal_the_reference_bit_for_bit(seed, log_scale, zero_frac):
+    sysm = fpu_modified()
+    y = _fpu_states(None, seed, log_scale, zero_frac)
+    for kernel, reference in zip((sysm.H, sysm.grad, sysm.hess), REFERENCE_FPU):
+        assert _same_bits(kernel(y), reference(y))
+
+
+@FPU_STATES
+@given(rows=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3, 3), zero_frac=st.sampled_from([0.0, 0.2, 0.6]))
+def test_fpu_stacked_grad_equals_the_reference_bit_for_bit(rows, seed, log_scale, zero_frac):
+    Y = _fpu_states(rows, seed, log_scale, zero_frac)
+    assert _same_bits(fpu_modified().grad(Y), REFERENCE_FPU[1](Y))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .convergence import averaged_factors, rho_star, rho_tilde
 from .hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
-from .integrator import RunConfig, composition6_stormer_verlet, integrate
+from .integrator import RunConfig, _check_run, composition6_stormer_verlet, integrate
 from .nlsolve import SolveOptions
 from .splitting import build_splitting, verify_conditions
 from .tableau import build_tableau
@@ -126,8 +126,7 @@ def _plan(args):
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
     if args.solver == "composition6":
-        if args.h <= 0 or args.t_end <= 0:
-            raise ValueError("require h > 0 and t_end > 0")
+        _check_run(args.h, args.t_end, args.every)
         return system, lambda: composition6_stormer_verlet(
             system, args.h, args.t_end, store_every=args.every)
     cfg = RunConfig(system=system, k=args.k, s=args.s, h=args.h,

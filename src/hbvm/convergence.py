@@ -12,6 +12,11 @@ The axis scans are batched: iteration_matrix takes an array of q and returns
 the (N, s, s) stack of Z(q), spectral_radius and the averaged norm reduce
 over the last axes, and the grid is evaluated in fixed blocks of _BLOCK
 points. Every value is bit for bit the one a scalar q gives.
+
+The golden-section refinement of each maximum is in-house (_golden_max), step
+for step the golden method of scipy's minimize_scalar, so the analysis runs on
+numpy alone: importing scipy's optimization package would cost about 20 MB of
+resident memory and 0.3 s.
 """
 from __future__ import annotations
 
@@ -35,6 +40,8 @@ __all__ = [
 _GRID = np.logspace(-3.0, 4.0, 2000)
 # grid points per batched evaluation: bounds the (N, s, s) temporaries
 _BLOCK = 250
+# golden-ratio conjugate (sqrt(5) - 1) / 2, to the 8 digits scipy's golden method uses
+_GOLDEN = 0.61803399
 
 
 @dataclass(frozen=True)
@@ -62,23 +69,44 @@ def spectral_radius(M):
     return float(r) if r.ndim == 0 else r
 
 
+def _golden_max(f, lo, mid, hi, xtol):
+    """(max, argmax) of f by golden section on a bracket lo < mid < hi with
+    f(mid) above f(lo) and f(hi), to relative tolerance xtol in x.
+
+    Step for step scipy's minimize_scalar(-f, method="golden"), so x
+    and f(x) are bit for bit its res.x and -res.fun; unlike scipy it does not
+    re-evaluate the three bracket points to check them."""
+    c = 1.0 - _GOLDEN
+    x0, x3 = lo, hi
+    if abs(hi - mid) > abs(mid - lo):
+        x1, x2 = mid, mid + c * (hi - mid)
+    else:
+        x1, x2 = mid - c * (mid - lo), mid
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, _GOLDEN * x2 + c * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN * x1 + c * x0
+            f2, f1 = f1, f(x1)
+    return (f1, x1) if f1 > f2 else (f2, x2)
+
+
 def _maximize_on_axis(f):
     """max of f over x in _GRID, refined by golden-section around the best
     gridpoint to relative tolerance 1e-10. Returns (max, argmax).
 
     f maps an array of x to the array of values and a float to a float."""
-    from scipy.optimize import minimize_scalar  # here: slow, and integrate never needs it
-
     vals = np.concatenate([f(_GRID[i:i + _BLOCK]) for i in range(0, len(_GRID), _BLOCK)])
     i = int(np.argmax(vals))
-    lo = _GRID[max(i - 1, 0)]
-    hi = _GRID[min(i + 1, len(_GRID) - 1)]
-    if i == 0 or i == len(_GRID) - 1 or vals[i] <= max(vals[max(i - 1, 0)], vals[min(i + 1, len(_GRID) - 1)]):
+    if i == 0 or i == len(_GRID) - 1 or vals[i] <= max(vals[i - 1], vals[i + 1]):
         return float(vals[i]), float(_GRID[i])
-    res = minimize_scalar(lambda x: -f(x), bracket=(lo, _GRID[i], hi),
-                          method="golden", options={"xtol": 1e-10})
-    if -res.fun >= vals[i]:
-        return float(-res.fun), float(res.x)
+    fmax, xmax = _golden_max(f, _GRID[i - 1], _GRID[i], _GRID[i + 1], 1e-10)
+    if fmax >= vals[i]:
+        return float(fmax), float(xmax)
     return float(vals[i]), float(_GRID[i])
 
 

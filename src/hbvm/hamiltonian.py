@@ -223,8 +223,8 @@ def harmonic_oscillator(omega=1.0):
 
     Exact flow from y0: y(t) = (cos(omega t), -omega sin(omega t)).
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got omega = {omega}")
     w2 = omega * omega
 
     def H(state):

@@ -34,6 +34,16 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e10
 
 
+def _check_run(h, t_end, store_every):
+    """ValueError naming the first bad parameter of a run: h and t_end must
+    be finite and positive (NaN fails both tests), store_every >= 0."""
+    for name, value in (("h", h), ("t_end", t_end)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"require h > 0 and t_end > 0, both finite; got {name} = {value}")
+    if store_every < 0:
+        raise ValueError(f"require store_every >= 0, got store_every = {store_every}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     system: HamiltonianSystem
@@ -45,8 +55,7 @@ class RunConfig:
     store_every: int = 1  # 0: keep only the endpoints
 
     def __post_init__(self):
-        if self.h <= 0 or self.t_end <= 0:
-            raise ValueError("require h > 0 and t_end > 0")
+        _check_run(self.h, self.t_end, self.store_every)
         if self.k < self.s or self.s < 1:
             raise ValueError("require k >= s >= 1")
 
@@ -189,8 +198,7 @@ def composition6_stormer_verlet(system, h, t_end, store_every=1):
     step, 2 force evaluations each, 18 per step. Divergence (state norm above
     1e10) marks the run and ends it at the last finite state.
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("require h > 0 and t_end > 0")
+    _check_run(h, t_end, store_every)
     m = system.m
     if not separable_hessian(system.hess(np.asarray(system.y0, dtype=float))):
         raise ValueError("composition method requires a separable Hamiltonian "

@@ -93,8 +93,10 @@ class SolveOptions:
     solver: str = "splitting"  # fixed_point | simplified_newton | splitting
 
     def __post_init__(self):
-        if self.tol <= 0 or self.mu < 1 or self.max_outer < 1:
-            raise ValueError("require tol > 0, mu >= 1 and max_outer >= 1")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"require a finite tol > 0, got tol = {self.tol}")
+        if self.mu < 1 or self.max_outer < 1:
+            raise ValueError("require mu >= 1 and max_outer >= 1")
 
 
 @dataclass

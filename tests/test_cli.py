@@ -229,6 +229,7 @@ def test_sweep_names_a_missing_step_size(tmp_path, capsys):
     ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1"),
     ("omega = -1\nh = 0.1\n", "omega must be positive"),
     ("solver = composition6\nh = -0.1\n", "require h > 0 and t_end > 0"),
+    ("h = 0.1\nt_end = inf\n", "t_end = inf"),
 ])
 def test_sweep_checks_every_run_before_the_first_starts(tmp_path, capsys, monkeypatch,
                                                         bad_block, message):
@@ -240,6 +241,27 @@ def test_sweep_checks_every_run_before_the_first_starts(tmp_path, capsys, monkey
     spec.write_text("[run]\nh = 0.1\nt_end = 0.2\n\n[run]\n" + bad_block)
     code, out, err = run_cli(capsys, "sweep", str(spec))
     assert (code, out, len(calls)) == (2, "", 0)
+    assert message in err
+
+
+_HARMONIC = ["--problem", "harmonic", "--h", "0.1", "--t-end", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["--problem", "harmonic", "--h", "0.1", "--t-end", "inf"], "t_end = inf",
+                 id="t_end-inf"),
+    pytest.param(["--problem", "harmonic", "--h", "nan", "--t-end", "1"], "h = nan",
+                 id="h-nan"),
+    pytest.param(["--problem", "fpu", "--h", "inf", "--t-end", "1"], "h = inf", id="fpu-h-inf"),
+    pytest.param(_HARMONIC + ["--tol", "nan"], "tol = nan", id="tol-nan"),
+    pytest.param(_HARMONIC + ["--omega", "nan"], "omega = nan", id="omega-nan"),
+    pytest.param(_HARMONIC + ["--every", "-1"], "store_every = -1", id="every-negative"),
+    pytest.param(_HARMONIC + ["--every", "-1", "--solver", "composition6"],
+                 "store_every = -1", id="composition6-every-negative"),
+])
+def test_integrate_rejects_nonfinite_and_negative_parameters(capsys, argv, message):
+    code, out, err = run_cli(capsys, "integrate", *argv)
+    assert (code, out) == (2, "")
     assert message in err
 
 

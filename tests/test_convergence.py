@@ -4,9 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+import hbvm.convergence as convergence
 from hbvm.convergence import (
     _averaged_norm,
+    _golden_max,
     amplification_report,
     averaged_factors,
     iteration_matrix,
@@ -158,12 +163,84 @@ def test_report_assembles(splittings):
     assert [mu for mu, *_ in rep.averaged] == [1, 2, 3]
 
 
+def _scipy_golden_max(f, lo, mid, hi, xtol):
+    res = minimize_scalar(lambda x: -f(x), bracket=(lo, mid, hi), method="golden",
+                          options={"xtol": xtol})
+    return -res.fun, res.x
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_golden_max_is_scipys_golden_on_every_axis_refinement(s, splittings, monkeypatch):
+    # every refinement of rho* and of rho*_mu, mu = 1..7, gives scipy's x
+    # and maximum bit for bit
+    calls = []
+
+    def recording(f, lo, mid, hi, xtol):
+        got = _golden_max(f, lo, mid, hi, xtol)
+        calls.append((got, _scipy_golden_max(f, lo, mid, hi, xtol)))
+        return got
+
+    monkeypatch.setattr(convergence, "_golden_max", recording)
+    rho_star(splittings[s])
+    for mu in range(1, 8):
+        averaged_factors(splittings[s], mu)
+    # at s = 4, rho*_1 is the stiff limit, reached at the end of the grid,
+    # so there is nothing to refine
+    assert len(calls) == (7 if s == 4 else 8)
+    for got, ref in calls:
+        assert got == ref
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(m=st.floats(-100.0, 100.0), w=st.floats(0.01, 100.0), a=st.floats(0.0, 10.0),
+       b=st.floats(-1.0, 1.0), d_lo=st.floats(0.01, 10.0), d_hi=st.floats(0.01, 10.0),
+       e=st.floats(-0.5, 0.5), xtol=st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12]))
+def test_golden_max_is_scipys_golden_on_concave_functions(m, w, a, b, d_lo, d_hi, e, xtol):
+    # f(x) = -u^2 - a u^4 + b u, u = (x - m) / w, is strictly concave; the
+    # bracket is m - d_lo w < m + e w < m + d_hi w, kept where it brackets
+    def f(x):
+        u = (x - m) / w
+        return -u * u - a * u * u * u * u + b * u
+
+    lo, mid, hi = m - d_lo * w, m + e * w, m + d_hi * w
+    assume(lo < mid < hi and f(mid) > f(lo) and f(mid) > f(hi))
+    assert _golden_max(f, lo, mid, hi, xtol) == _scipy_golden_max(f, lo, mid, hi, xtol)
+
+
+def test_golden_max_stops_when_the_stop_test_holds_with_equality():
+    # on (-1, 0, 1) the first interior points are -c and 0, c = 1 - 0.61803399,
+    # so for xtol = 2 / c the first stop test |x3 - x0| <= xtol (|x1| + |x2|)
+    # reads 2 <= 2: scipy returns mid without a step, where one step would
+    # move to c, nearer the maximum at 0.3
+    c = 1.0 - 0.61803399
+    xtol = 2.0 / c
+    assert xtol * c == 2.0
+
+    def f(x):
+        return -(x - 0.3) * (x - 0.3)
+
+    ref = _scipy_golden_max(f, -1.0, 0.0, 1.0, xtol)
+    assert ref[1] == 0.0
+    assert _golden_max(f, -1.0, 0.0, 1.0, xtol) == ref
+
+
 def test_import_hbvm_leaves_scipy_optimize_unloaded():
-    # only the axis scan needs minimize_scalar; it imports it on first use,
-    # so an interpreter that only integrates never pays for scipy.optimize
+    # the golden search is in-house, so neither an import nor the analysis
+    # (hbvm analyze, amplification_report) loads scipy.optimize
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hbvm; "
-            "print('scipy.optimize' in sys.modules)")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import hbvm",
+        "print('scipy.optimize' in sys.modules)",
+        "from hbvm.cli import main",
+        "from hbvm.convergence import amplification_report",
+        "from hbvm.splitting import build_splitting",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['analyze']) == 0",
+        "amplification_report(build_splitting(3))",
+        "print('scipy.optimize' in sys.modules)",
+    ])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]

@@ -36,6 +36,40 @@ def test_run_config_validation():
         RunConfig(system=sysm, k=2, s=0, h=0.1, t_end=1.0)
 
 
+_harmonic = harmonic_oscillator()
+
+
+def _comp6(h=0.1, t_end=1.0, store_every=1):
+    return composition6_stormer_verlet(_harmonic, h, t_end, store_every=store_every)
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, np.nan, 1.0), "h = nan", id="run-h-nan"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, np.inf, 1.0), "h = inf", id="run-h-inf"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, np.nan), "t_end = nan",
+                 id="run-t_end-nan"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, np.inf), "t_end = inf",
+                 id="run-t_end-inf"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, 1.0, store_every=-1),
+                 "store_every = -1", id="run-store_every-negative"),
+    pytest.param(lambda: SolveOptions(tol=np.nan), "tol = nan", id="options-tol-nan"),
+    pytest.param(lambda: SolveOptions(tol=np.inf), "tol = inf", id="options-tol-inf"),
+    pytest.param(lambda: _comp6(h=np.nan), "h = nan", id="composition6-h-nan"),
+    pytest.param(lambda: _comp6(h=np.inf), "h = inf", id="composition6-h-inf"),
+    pytest.param(lambda: _comp6(t_end=np.nan), "t_end = nan", id="composition6-t_end-nan"),
+    pytest.param(lambda: _comp6(t_end=np.inf), "t_end = inf", id="composition6-t_end-inf"),
+    pytest.param(lambda: _comp6(store_every=-1), "store_every = -1",
+                 id="composition6-store_every-negative"),
+    pytest.param(lambda: harmonic_oscillator(np.nan), "omega = nan", id="harmonic-omega-nan"),
+    pytest.param(lambda: harmonic_oscillator(np.inf), "omega = inf", id="harmonic-omega-inf"),
+])
+def test_nonfinite_and_negative_run_parameters_are_named(make, message):
+    # NaN passes every `x <= 0` test and inf overflows the step count, so
+    # both are rejected up front, with the parameter in the message
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_step_count_and_grid():
     cfg = RunConfig(system=harmonic_oscillator(), k=2, s=2, h=0.1, t_end=1.0)
     traj, stats = integrate(cfg)

@@ -108,11 +108,16 @@ def _solve_options(args):
 
 
 def _stats_row(args, stats, sol_err=None):
+    """One STATS_HEADER row. composition6 has no k, s, mu or tol, and _plan
+    checks none of them for it, so its row leaves them empty."""
     iters = str(stats.total_outer_iterations) if stats.all_converged else "***"
+    is_hbvm = args.solver != "composition6"
+    k, s, mu, tol = ((str(args.k), str(args.s), str(args.mu), _fmt(args.tol)) if is_hbvm
+                     else [""] * 4)
     return ",".join([
-        "hbvm" if args.solver != "composition6" else "composition6",
-        str(args.k), str(args.s), _fmt(args.h), _fmt(args.t_end), args.solver,
-        str(args.mu), _fmt(args.tol), str(stats.steps), iters,
+        "hbvm" if is_hbvm else "composition6",
+        k, s, _fmt(args.h), _fmt(args.t_end), args.solver,
+        mu, tol, str(stats.steps), iters,
         str(stats.total_inner_iterations),
         _fmt(stats.max_hamiltonian_error),
         _fmt(sol_err) if sol_err is not None else "",

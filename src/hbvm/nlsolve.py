@@ -95,8 +95,9 @@ class SolveOptions:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"require a finite tol > 0, got tol = {self.tol}")
-        if self.mu < 1 or self.max_outer < 1:
-            raise ValueError("require mu >= 1 and max_outer >= 1")
+        for name in ("mu", "max_outer"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"require {name} >= 1, got {name} = {getattr(self, name)}")
 
 
 @dataclass

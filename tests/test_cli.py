@@ -258,11 +258,42 @@ _HARMONIC = ["--problem", "harmonic", "--h", "0.1", "--t-end", "1"]
     pytest.param(_HARMONIC + ["--every", "-1"], "store_every = -1", id="every-negative"),
     pytest.param(_HARMONIC + ["--every", "-1", "--solver", "composition6"],
                  "store_every = -1", id="composition6-every-negative"),
+    pytest.param(_HARMONIC + ["--mu", "0"], "require mu >= 1, got mu = 0", id="mu-0"),
+    pytest.param(_HARMONIC + ["--mu", "-2"], "require mu >= 1, got mu = -2", id="mu-negative"),
+    pytest.param(_HARMONIC + ["--max-outer", "0"], "require max_outer >= 1, got max_outer = 0",
+                 id="max-outer-0"),
 ])
 def test_integrate_rejects_nonfinite_and_negative_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, "integrate", *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+_HBVM_COLUMNS = ("method", "k", "s", "mu", "tol")
+
+
+def test_integrate_composition6_row_leaves_k_s_mu_tol_empty(capsys):
+    # composition6 has none of them and none is checked for it
+    code, out, _ = run_cli(capsys, "integrate", *_HARMONIC, "--solver", "composition6",
+                           "--tol", "nan", "--mu", "0", "-k", "1", "-s", "5")
+    assert code == 0
+    cols = dict(zip(STATS_HEADER.split(","), out.strip().splitlines()[1].split(",")))
+    assert [cols[c] for c in _HBVM_COLUMNS] == ["composition6", "", "", "", ""]
+    assert cols["converged"] == "true"
+
+
+def test_sweep_composition6_row_leaves_k_s_mu_tol_empty(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("[run]\nsolver = composition6\nh = 0.1\nt_end = 1\n"
+                    "k = 1\ns = 5\nmu = 0\ntol = nan\n\n[run]\nh = 0.1\nt_end = 1\n")
+    code, out, _ = run_cli(capsys, "sweep", str(spec))
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    cols = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [[c[k] for k in _HBVM_COLUMNS] for c in cols] == [
+        ["composition6", "", "", "", ""],
+        ["hbvm", "2", "2", str(SolveOptions.mu), format(SolveOptions.tol, ".17g")],
+    ]
 
 
 def test_integrate_and_sweep_default_to_solve_options():

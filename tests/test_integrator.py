@@ -54,6 +54,11 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  "store_every = -1", id="run-store_every-negative"),
     pytest.param(lambda: SolveOptions(tol=np.nan), "tol = nan", id="options-tol-nan"),
     pytest.param(lambda: SolveOptions(tol=np.inf), "tol = inf", id="options-tol-inf"),
+    pytest.param(lambda: SolveOptions(mu=0), "^require mu >= 1, got mu = 0$", id="options-mu-0"),
+    pytest.param(lambda: SolveOptions(mu=-1), "^require mu >= 1, got mu = -1$",
+                 id="options-mu-negative"),
+    pytest.param(lambda: SolveOptions(max_outer=0), "^require max_outer >= 1, got max_outer = 0$",
+                 id="options-max_outer-0"),
     pytest.param(lambda: _comp6(h=np.nan), "h = nan", id="composition6-h-nan"),
     pytest.param(lambda: _comp6(h=np.inf), "h = inf", id="composition6-h-inf"),
     pytest.param(lambda: _comp6(t_end=np.nan), "t_end = nan", id="composition6-t_end-nan"),

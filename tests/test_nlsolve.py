@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.machinery
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,11 @@ from hbvm.splitting import build_splitting
 from hbvm.tableau import build_tableau, leading_Xs
 
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
+
+import hbvm.lu
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _problem(system, k, s, h, y0=None):
@@ -144,6 +152,102 @@ def test_singular_factor_warns_in_both_storages():
         with pytest.warns(LinAlgWarning, match="Singular"):
             lu = fac()
         assert not np.all(np.isfinite(solve_lu(lu, np.ones(5))))
+
+
+def test_complex_band_factor_and_solve_are_scipys_zgbtrf_and_zgbtrs():
+    # the other three storages are compared with scipy above
+    rng = np.random.default_rng(7)
+    m, kl, ku = 12, 2, 1
+    A = np.eye(m) - (0.3 + 0.2j) * rng.standard_normal((m, m))
+    A = np.triu(np.tril(A, ku), -kl)
+    ab = _band_of(A, kl, ku)
+    ref_lu, ref_piv, info = zgbtrf(ab, kl, ku)
+    fac = factor_lu(ab, (kl, ku))
+    assert info == 0 and np.array_equal(fac.lu, ref_lu) and np.array_equal(fac.piv, ref_piv)
+    assert np.any(fac.piv != np.arange(m))  # the band LU did pivot
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    x = solve_lu(fac, b)
+    assert np.array_equal(x, zgbtrs(ref_lu, kl, ku, b, ref_piv)[0])
+    assert _backward_error(A, x, b) <= 1e-15
+
+
+def test_missing_lapack_extension_is_an_import_error_that_names_it(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
+        hbvm.lu._load_flapack()
+
+
+def test_hbvm_runs_every_solver_without_importing_scipy_linalg():
+    # hbvm.lu loads scipy's LAPACK extension from its file: neither the
+    # import, nor every solver on a band (fpu) and a dense (charged particle)
+    # problem, real and complex factors alike, nor the analysis imports the
+    # scipy.linalg package
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import hbvm",
+        "print('scipy.linalg' in sys.modules)",
+        "import hbvm.nlsolve",
+        "from hbvm.cli import main",
+        "kinds, factor = set(), hbvm.nlsolve.lu_factor",
+        "def lu_factor(a, band=None):",
+        "    kinds.add(('dense' if band is None else 'band') + '-' + a.dtype.name)",
+        "    return factor(a, band)",
+        "hbvm.nlsolve.lu_factor = lu_factor",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for problem in ('fpu', 'charged-particle'):",
+        "        for solver in ('fixed-point', 'simplified-newton', 'splitting'):",
+        "            assert main(['integrate', '--problem', problem, '-k', '6', '-s', '3',",
+        "                         '--h', '0.05', '--t-end', '0.2', '--solver', solver]) == 0",
+        "    assert main(['analyze']) == 0",
+        "print(','.join(sorted(kinds)))",
+        "print('scipy.linalg' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "band-complex128,band-float64,dense-complex128,dense-float64",
+                           "False"]
+
+
+_TRAJECTORIES = "\n".join([
+    "import sys",
+    "sys.path.insert(0, sys.argv[1])",
+    "if sys.argv[2] == 'before':",
+    "    import scipy.linalg",
+    "import numpy as np",
+    "from hbvm.hamiltonian import charged_particle, fpu_modified",
+    "from hbvm.integrator import RunConfig, integrate",
+    "from hbvm.nlsolve import SolveOptions",
+    "out = {}",
+    "def run(tag):",
+    "    for make in (fpu_modified, charged_particle):",
+    "        for solver in ('fixed_point', 'simplified_newton', 'splitting'):",
+    "            cfg = RunConfig(make(), 6, 3, 0.05, 0.3, SolveOptions(solver=solver))",
+    "            out[f'{tag}-{make.__name__}-{solver}'] = integrate(cfg)[0].states",
+    "run('first')",
+    "if sys.argv[2] == 'after':",
+    "    import scipy.linalg",
+    "run('second')",
+    "assert 'scipy.linalg' in sys.modules",
+    "np.savez(sys.argv[3], **out)",
+])
+
+
+def test_same_bits_whether_scipy_linalg_is_imported_before_or_after_hbvm(tmp_path):
+    # both copies of the extension module run the same LAPACK code; importing
+    # scipy.linalg after hbvm, even between two runs, changes no bit
+    runs = {}
+    for order in ("before", "after"):
+        path = tmp_path / f"{order}.npz"
+        subprocess.run([sys.executable, "-c", _TRAJECTORIES, SRC, order, str(path)],
+                       check=True)
+        runs[order] = dict(np.load(path))
+    before, after = runs["before"], runs["after"]
+    assert len(before) == 12 and before.keys() == after.keys()
+    for key in before:
+        assert np.array_equal(before[key], after[key]), key
+        assert np.array_equal(before[key], before[key.replace("first", "second")]), key
 
 
 @pytest.mark.parametrize("s", range(1, 7))

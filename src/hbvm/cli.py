@@ -128,6 +128,8 @@ def _stats_row(args, stats, sol_err=None):
 def _plan(args):
     """(system, run): every parameter of the run args describe is checked
     here (ValueError), and run() -> (traj, stats) then makes the run."""
+    if args.every < 0:
+        raise ValueError(f"require --every >= 0, got --every = {args.every}")
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
     if args.solver == "composition6":

@@ -18,23 +18,25 @@ cap is spent. A solver supplies only its step:
     and one complex one per conjugate pair, ceil(s/2) in all; serves as the
     convergence oracle for the splitting
   * splitting_solve        -- in the transformed unknowns gammahat = Phat
-    gamma, mu inner sweeps per step, each a block forward substitution
-    against a single factored matrix I - h d_s J hess H(y0).
+    gamma, mu inner sweeps per step (_inner_iteration), each a block
+    forward substitution against a single factored matrix
+    I - h d_s J hess H(y0).
 
 Both factored matrices have the form I - c B, B = J hess H(y0), and
-step_factors(hess0, cs) is the one constructor of their factors: for each
-shift c a step factor with solve(b) and the splitting's inner sweeps, real
-when c has no imaginary part. When the Hessian's momentum rows are exactly [0 | I]
+step_factors(hess0, cs) is the one constructor of their factors, real when
+c has no imaginary part. A step factor's whole protocol is solve(b) =
+(I - c B)^{-1} b and sweep(hL, L2, rhs) -> (D, B D): one block forward
+substitution for [I - h L (x) B] D = rhs (hL = h L, L2 = hL hL) that also
+returns the rows B D_i the next sweep needs; _inner_iteration is the one
+loop of mu sweeps. When the Hessian's momentum rows are exactly [0 | I]
 (H = |p|^2/2 + V(q), unit mass), I - c B = [[I, -c I], [c V'', I]]: the
 factor is one LU of the m x m matrix S = I + c^2 V'', a solve is one S solve
 and one V'' matvec, and a sweep eliminates the momenta of all s stages at
-once, so it needs one S solve and one V'' matvec per stage and returns B D
-for the next sweep; no 2m x 2m matrix is formed. S has the band of V'': when
-LAPACK band storage (2 kl + ku + 1 rows for the bandwidths kl, ku of V'')
-has fewer rows than m, S is built in band storage and factored by gbtrf,
-O(m) for a fixed band, else by a dense m x m getrf. Any other Hessian is
-factored densely, 2m x 2m with row pivoting, and its sweep forms each
-B Dnew_j once.
+once, one S solve and one V'' matvec per stage; no 2m x 2m matrix is formed.
+S has the band of V'': when LAPACK band storage (2 kl + ku + 1 rows for the
+bandwidths kl, ku of V'') has fewer rows than m, S is built in band storage
+and factored by gbtrf, O(m) for a fixed band, else by a dense m x m getrf.
+Any other Hessian is factored densely, 2m x 2m with row pivoting.
 
 The hot path makes one call per stack where it can: the residual evaluates
 all k stage gradients in one grad call when the system declares
@@ -215,8 +217,10 @@ def _newton_correction(eig, facs, F):
 def step_factors(hess0, cs):
     """A step factor of I - c B, B = J hess0, for each shift c, or none at all
     when hess0 is not finite: an object whose solve(b) returns (I - c B)^{-1} b
-    and whose sweeps(L, T, h, mu) is the splitting's inner iteration. A c with
-    no imaginary part is factored in real arithmetic, any other in complex.
+    and whose sweep(hL, L2, rhs) -> (D, B D) solves [I - h L (x) B] D = rhs
+    for hL = h L and L2 = hL hL, with c = h d_s; _inner_iteration runs the
+    splitting's mu sweeps over it. A c with no imaginary part is factored in
+    real arithmetic, any other in complex.
 
     If separable_hessian(hess0) (its momentum rows and columns are exactly
     [0 | I]), I - c B = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and
@@ -258,28 +262,15 @@ class _DenseStep:
     def solve(self, b):
         return lu_solve(self.lu, b)
 
-    def sweep(self, L, rhs, h):
-        """Block forward substitution for Dnew in [I - h L (x) B] Dnew = rhs,
-        each diagonal block solved with this factor; every B Dnew_j is formed
-        once."""
-        s = len(rhs)
-        Dnew = np.empty_like(rhs)
-        BD = []
-        for i in range(s):
-            Dnew[i] = lu_solve(self.lu, rhs[i] + h * sum(L[i, j] * BD[j] for j in range(i)))
-            if i < s - 1:
-                BD.append(self.B @ Dnew[i])
-        return Dnew
-
-    def sweeps(self, L, T, h, mu):
-        """The inner iteration of one step, eta -> D: mu sweeps from D = 0 of
-        [I - h L (x) B] D' = h T (x) B D + eta."""
-        def run(eta):
-            D = self.sweep(L, eta, h)
-            for _ in range(mu - 1):
-                D = self.sweep(L, h * ((T @ D) @ self.B.T) + eta, h)
-            return D
-        return run
+    def sweep(self, hL, L2, rhs):
+        """D with [I - h L (x) B] D = rhs, given hL = h L, by block forward
+        substitution, each diagonal block solved with this factor, and the
+        rows B D_i, each formed once (L2 is not needed here)."""
+        D, BD = np.empty_like(rhs), np.empty_like(rhs)
+        for i in range(len(rhs)):
+            D[i] = lu_solve(self.lu, rhs[i] + hL[i, :i] @ BD[:i])
+            BD[i] = self.B @ D[i]
+        return D, BD
 
 
 class _SeparableStep:
@@ -324,21 +315,6 @@ class _SeparableStep:
         P = rhs[:, m:] - hL @ QV
         return np.concatenate([Q, P], axis=1), np.concatenate([P, -QV], axis=1)
 
-    def sweeps(self, L, T, h, mu):
-        """The inner iteration of one step, eta -> D: mu sweeps from D = 0 of
-        [I - h L (x) B] D' = h T (x) B D + eta. h L and (h L)^2 are formed
-        once per step, and each sweep returns the B D that the next
-        right-hand side needs."""
-        hL = h * L
-        L2 = hL @ hL
-
-        def run(eta):
-            D, BD = self.sweep(hL, L2, eta)
-            for _ in range(mu - 1):
-                D, BD = self.sweep(hL, L2, h * (T @ BD) + eta)
-            return D
-        return run
-
 
 def _band_storage(c, cV, kl, ku):
     """S = I + c cV in LAPACK band storage for the bandwidths kl, ku:
@@ -352,14 +328,29 @@ def _band_storage(c, cV, kl, ku):
     return ab
 
 
+def _inner_iteration(fac, L, T, h, mu):
+    """The splitting's inner iteration of one step, eta -> D: mu sweeps of
+    fac from D = 0 of [I - h L (x) B] D' = h T (x) B D + eta. h L and
+    (h L)^2 are formed once per step, and each sweep returns the B D that the
+    next right-hand side needs."""
+    hL = h * L
+    L2 = hL @ hL
+
+    def run(eta):
+        D, BD = fac.sweep(hL, L2, eta)
+        for _ in range(mu - 1):
+            D, BD = fac.sweep(hL, L2, h * (T @ BD) + eta)
+        return D
+    return run
+
+
 def splitting_solve(p, data, opts=SolveOptions()):
     """Inner-outer triangular-splitting iteration in gammahat = Phat gamma.
 
-    Each outer step evaluates eta = -Phat F(Phat^{-1} gammahat), then runs mu
-    inner sweeps; an inner sweep solves [I - h L (x) B] Dnew = h T (x) B D + eta,
-    T = data.T = L (U - I), by block forward substitution, every diagonal block
-    sharing the one factored matrix I - h d_s B with B = J hess H(y0). The new
-    step value is y1 = y0 + h gamma_0.
+    Each outer step evaluates eta = -Phat F(Phat^{-1} gammahat), then runs the
+    mu inner sweeps of _inner_iteration, T = data.T = L (U - I), against the
+    one factored matrix I - h d_s B, B = J hess H(y0). The new step value is
+    y1 = y0 + h gamma_0.
     """
     s, h = p.tableau.s, p.h
     if data.s != s:
@@ -369,7 +360,7 @@ def splitting_solve(p, data, opts=SolveOptions()):
     # and goes together with that pin (ROADMAP item 1)
     p.system.hess(p.y0_step)
     facs = step_factors(p.system.hess(p.y0_step), [h * data.d])
-    inner = facs[0].sweeps(data.L, data.T, h, opts.mu) if facs else None
+    inner = _inner_iteration(facs[0], data.L, data.T, h, opts.mu) if facs else None
     Phat, Phat_lu = data.Phat, data.Phat_lu
 
     def step(ghat):

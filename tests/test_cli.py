@@ -255,9 +255,10 @@ _HARMONIC = ["--problem", "harmonic", "--h", "0.1", "--t-end", "1"]
     pytest.param(["--problem", "fpu", "--h", "inf", "--t-end", "1"], "h = inf", id="fpu-h-inf"),
     pytest.param(_HARMONIC + ["--tol", "nan"], "tol = nan", id="tol-nan"),
     pytest.param(_HARMONIC + ["--omega", "nan"], "omega = nan", id="omega-nan"),
-    pytest.param(_HARMONIC + ["--every", "-1"], "store_every = -1", id="every-negative"),
+    pytest.param(_HARMONIC + ["--every", "-1"], "require --every >= 0, got --every = -1",
+                 id="every-negative"),
     pytest.param(_HARMONIC + ["--every", "-1", "--solver", "composition6"],
-                 "store_every = -1", id="composition6-every-negative"),
+                 "require --every >= 0, got --every = -1", id="composition6-every-negative"),
     pytest.param(_HARMONIC + ["--mu", "0"], "require mu >= 1, got mu = 0", id="mu-0"),
     pytest.param(_HARMONIC + ["--mu", "-2"], "require mu >= 1, got mu = -2", id="mu-negative"),
     pytest.param(_HARMONIC + ["--max-outer", "0"], "require max_outer >= 1, got max_outer = 0",

@@ -17,7 +17,6 @@ from .hamiltonian import (
     charged_particle,
     fpu_modified,
     harmonic_oscillator,
-    vector_field,
 )
 from .integrator import (
     RunConfig,
@@ -26,7 +25,6 @@ from .integrator import (
     composition6_stormer_verlet,
     integrate,
     order_study,
-    solution_error,
 )
 from .nlsolve import (
     SolveOptions,
@@ -38,7 +36,7 @@ from .nlsolve import (
     splitting_solve,
     stages_from_gamma,
 )
-from .polybasis import QuadratureRule, gauss_rule, legendre_eval, legendre_integral
+from .polybasis import QuadratureRule, gauss_rule, legendre_eval, legendre_integral, xi
 from .splitting import (
     SplittingData,
     auxiliary_abscissae,
@@ -47,6 +45,6 @@ from .splitting import (
     d_s,
     verify_conditions,
 )
-from .tableau import HbvmTableau, build_Xhat, build_tableau, det_Xs, leading_Xs, xi
+from .tableau import HbvmTableau, build_Xhat, build_tableau, det_Xs, leading_Xs
 
 __version__ = "0.1.0"

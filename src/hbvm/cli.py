@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .convergence import averaged_factors, rho_star, rho_tilde
+from .convergence import amplification_report
 from .hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
 from .integrator import RunConfig, _check_run, composition6_stormer_verlet, integrate
 from .nlsolve import SolveOptions
@@ -91,12 +91,9 @@ def cmd_splitting(args):
 def cmd_analyze(args):
     rows = [["s", "mu", "rho_star", "rho_tilde", "rho_inf"]]
     for s in args.s:
-        data = build_splitting(s)
-        star, _ = rho_star(data)
-        rows.append([s, "inf", star, rho_tilde(data), 0.0])
-        for mu in args.mu:
-            st, ti, inf_ = averaged_factors(data, mu)
-            rows.append([s, mu, st, ti, inf_])
+        r = amplification_report(build_splitting(s), args.mu)
+        rows.append([s, "inf", r.rho_star, r.rho_tilde, r.rho_inf])
+        rows.extend([s, *factors] for factors in r.averaged)
     _write(args.out, _rows_to_csv(rows))
     return 0
 
@@ -108,21 +105,23 @@ def _solve_options(args):
 
 
 def _stats_row(args, stats, sol_err=None):
-    """One STATS_HEADER row. composition6 has no k, s, mu or tol, and _plan
-    checks none of them for it, so its row leaves them empty."""
-    iters = str(stats.total_outer_iterations) if stats.all_converged else "***"
+    """The values of one STATS_HEADER row. composition6 has no k, s, mu or
+    tol, and _plan checks none of them for it, so its row leaves them empty;
+    a run that made no step leaves ham_err empty, as sol_err is left empty
+    when it is not computed."""
     is_hbvm = args.solver != "composition6"
-    k, s, mu, tol = ((str(args.k), str(args.s), str(args.mu), _fmt(args.tol)) if is_hbvm
-                     else [""] * 4)
-    return ",".join([
+    return [
         "hbvm" if is_hbvm else "composition6",
-        k, s, _fmt(args.h), _fmt(args.t_end), args.solver,
-        mu, tol, str(stats.steps), iters,
-        str(stats.total_inner_iterations),
-        _fmt(stats.max_hamiltonian_error),
-        _fmt(sol_err) if sol_err is not None else "",
-        _fmt(stats.all_converged),
-    ])
+        *((args.k, args.s) if is_hbvm else ("", "")),
+        args.h, args.t_end, args.solver,
+        *((args.mu, args.tol) if is_hbvm else ("", "")),
+        stats.steps,
+        stats.total_outer_iterations if stats.all_converged else "***",
+        stats.total_inner_iterations,
+        stats.max_hamiltonian_error if stats.steps else "",
+        "" if sol_err is None else sol_err,
+        stats.all_converged,
+    ]
 
 
 def _plan(args):
@@ -155,8 +154,8 @@ def cmd_integrate(args):
         w = args.omega
         exact = np.array([np.cos(w * t_fin), -w * np.sin(w * t_fin)])
         sol_err = float(np.linalg.norm(traj.states[-1] - exact) / (1 + np.linalg.norm(exact)))
-    print(STATS_HEADER)
-    print(_stats_row(args, stats, sol_err))
+    row = _stats_row(args, stats, sol_err)
+    sys.stdout.write(STATS_HEADER + "\n" + _rows_to_csv([row]))
     return 0
 
 
@@ -196,7 +195,7 @@ def cmd_sweep(args):
         return 2
 
     rows = [_stats_row(cfg, run()[1]) for cfg, run in zip(configs, runs)]
-    _write(args.out, STATS_HEADER + "\n" + "".join(r + "\n" for r in rows))
+    _write(args.out, STATS_HEADER + "\n" + _rows_to_csv(rows))
     return 0
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "HamiltonianSystem",
     "apply_J",
     "separable_hessian",
-    "vector_field",
     "charged_particle",
     "fpu_modified",
     "harmonic_oscillator",
@@ -64,11 +63,6 @@ def separable_hessian(hess):
     m = hess.shape[0] // 2
     return not np.any(hess[m:, :m]) and not np.any(hess[:m, m:]) \
         and np.array_equal(hess[m:, m:], np.eye(m))
-
-
-def vector_field(sys, y):
-    """y' = J grad H(y), without materializing J."""
-    return apply_J(sys.grad(np.asarray(y, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

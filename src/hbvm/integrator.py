@@ -26,7 +26,6 @@ __all__ = [
     "RunStats",
     "Trajectory",
     "integrate",
-    "solution_error",
     "order_study",
     "composition6_stormer_verlet",
 ]
@@ -135,24 +134,6 @@ def _march(system, h, t_end, store_every, advance, stats):
         times.append(stats.steps * h)
         states.append(y.copy())
     return Trajectory(np.array(times), np.array(states)), stats
-
-
-def solution_error(traj, reference):
-    """Max over shared times of |y - y_ref| / (1 + |y_ref|), Euclidean norm.
-
-    The reference may be on a finer grid, provided its step divides the
-    trajectory's and the endpoints align.
-    """
-    nt, nr = len(traj.times) - 1, len(reference.times) - 1
-    if nr % max(nt, 1) != 0:
-        raise ValueError("reference grid does not refine the trajectory grid")
-    stride = nr // max(nt, 1)
-    ref_states = reference.states[::stride]
-    if not np.allclose(reference.times[::stride], traj.times, rtol=0, atol=1e-9 * max(1.0, traj.times[-1])):
-        raise ValueError("time grids are not aligned")
-    diffs = np.linalg.norm(traj.states - ref_states, axis=1)
-    scale = 1.0 + np.linalg.norm(ref_states, axis=1)
-    return float(np.max(diffs / scale))
 
 
 def order_study(system, k, s, h_list, t_end, reference, options=None):

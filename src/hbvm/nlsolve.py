@@ -8,7 +8,7 @@ The stages are Y = y0 + h (P_{s+1} Xhat) gamma and the residual is
 
 All three solvers run one outer iteration, _iterate: from zero, apply a
 step until the increment is small, the iterate stops being finite, or the
-cap is spent. A solver supplies only its step:
+cap is spent, and return the last iterate. A solver supplies only its step:
   * fixed_point_solve      -- gamma <- (P_s^T Omega) [J grad H(Y_i)]_i, plain
     functional iteration (nonstiff only), with a 10x larger cap
   * simplified_newton_solve -- gamma <- gamma + Delta with the exact
@@ -20,7 +20,11 @@ cap is spent. A solver supplies only its step:
   * splitting_solve        -- in the transformed unknowns gammahat = Phat
     gamma, mu inner sweeps per step (_inner_iteration), each a block
     forward substitution against a single factored matrix
-    I - h d_s J hess H(y0).
+    I - h d_s J hess H(y0); the final gammahat is mapped to gamma once.
+
+solve dispatches on SolveOptions.solver. The splitting needs the
+SplittingData of the tableau's s from its caller: integrate builds it once
+per run, and solve builds nothing per step.
 
 Both factored matrices have the form I - c B, B = J hess H(y0), and
 step_factors(hess0, cs) is the one constructor of their factors, real when
@@ -140,12 +144,13 @@ def residual_F(p, gamma):
     return gamma - _gamma_image(p, gamma)
 
 
-def _iterate(p, opts, step, cap, out=lambda x: x):
+def _iterate(p, opts, step, cap):
     """The outer iteration all three solvers share.
 
     From x = 0 (an (s, 2m) array), x, delta = step(x) runs until
     max|delta| <= tol (1 + max|x|), max|x| (NaN or inf if any entry is) stops
-    being finite, or cap iterations are spent; out maps the final x to gamma.
+    being finite, or cap iterations are spent; the SolveResult holds the final
+    x as its gamma (the splitting maps it from gammahat afterwards).
     Divergence shows up as overflow before the finiteness check trips; it is
     data (a *** table entry), not an arithmetic error, and ends the step with
     converged=False. With cap 0 (no step factors: a non-finite Hessian) the
@@ -154,7 +159,7 @@ def _iterate(p, opts, step, cap, out=lambda x: x):
     grads_per_residual = 1 if p.system.stacked_grad else p.tableau.k
 
     def result(x, it, converged, norm):
-        return SolveResult(out(x), it, 0, converged, norm, it,
+        return SolveResult(x, it, 0, converged, norm, it,
                            gradient_evaluations=grads_per_residual * it)
 
     x, norm = np.zeros((p.tableau.s, p.system.dim)), np.inf
@@ -353,8 +358,9 @@ def splitting_solve(p, data, opts=SolveOptions()):
     y1 = y0 + h gamma_0.
     """
     s, h = p.tableau.s, p.h
-    if data.s != s:
-        raise ValueError(f"splitting data is for s={data.s}, tableau has s={s}")
+    if data is None or data.s != s:
+        have = "no splitting data" if data is None else f"splitting data is for s={data.s}"
+        raise ValueError(f"{have}, tableau has s={s}")
     # the factor needs one Hessian; this second, unused evaluation stays while
     # the benchmark self-test (perfbench/test_perfbench.py) pins two per step,
     # and goes together with that pin (ROADMAP item 1)
@@ -367,23 +373,20 @@ def splitting_solve(p, data, opts=SolveOptions()):
         D = inner(-(Phat @ residual_F(p, lu_solve(Phat_lu, ghat))))
         return ghat + D, D
 
-    res = _iterate(p, opts, step, opts.max_outer if facs else 0,
-                   lambda ghat: lu_solve(Phat_lu, ghat))
+    res = _iterate(p, opts, step, opts.max_outer if facs else 0)
+    res.gamma = lu_solve(Phat_lu, res.gamma)
     res.inner_iterations_total = opts.mu * res.outer_iterations
     res.hessian_evaluations, res.factorizations = 2, len(facs)
     return res
 
 
 def solve(p, opts=SolveOptions(), data=None):
-    """Dispatch on opts.solver; builds SplittingData on demand."""
-    from .splitting import build_splitting
-
+    """Dispatch on opts.solver. The splitting takes its SplittingData from the
+    caller (integrate builds it once per run); without it, it raises."""
     if opts.solver == "fixed_point":
         return fixed_point_solve(p, opts)
     if opts.solver == "simplified_newton":
         return simplified_newton_solve(p, opts)
     if opts.solver == "splitting":
-        if data is None:
-            data = build_splitting(p.tableau.s)
         return splitting_solve(p, data, opts)
     raise ValueError(f"unknown solver {opts.solver!r}")

@@ -2,10 +2,12 @@
 
 The Runge-Kutta matrix is A = P_{s+1} Xhat_s P_s^T Omega, where P_r collects
 the orthonormal Legendre basis evaluated at the k Gauss nodes, Xhat_s is a
-tridiagonal-plus-last-row matrix built from the xi_i coefficients and Omega
-is the diagonal matrix of quadrature weights. For k = s this reduces to the
-classical s-stage Gauss-Legendre collocation method. The tableau also carries
-the eigendecomposition of X_s that block-diagonalises simplified Newton.
+tridiagonal-plus-last-row matrix built from the xi_i coefficients and
+Omega = diag(b) is the diagonal matrix of quadrature weights. Omega is never
+formed: a product with it scales columns by the weights b. For k = s this
+reduces to the classical s-stage Gauss-Legendre collocation method. The
+tableau also carries the eigendecomposition of X_s that block-diagonalises
+simplified Newton.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .polybasis import QuadratureRule, gauss_rule, legendre_basis, xi
 
-__all__ = ["HbvmTableau", "XsEigen", "xi", "build_Xhat", "leading_Xs", "xs_eigen", "det_Xs",
+__all__ = ["HbvmTableau", "XsEigen", "build_Xhat", "leading_Xs", "xs_eigen", "det_Xs",
            "build_tableau"]
 
 
@@ -44,7 +46,6 @@ class HbvmTableau:
     Ps: np.ndarray     # k x s
     Ps1: np.ndarray    # k x (s+1)
     Xhat: np.ndarray   # (s+1) x s
-    Omega: np.ndarray  # k x k diagonal
     W: np.ndarray      # k x s, P_{s+1} Xhat: stage values from gamma
     M: np.ndarray      # s x k, P_s^T Omega: gamma from stage slopes
     eig: XsEigen       # eigendecomposition of X_s, for simplified Newton
@@ -107,9 +108,8 @@ def build_tableau(k, s):
     Ps = legendre_basis(rule.nodes, s)
     Ps1 = legendre_basis(rule.nodes, s + 1)
     Xhat = build_Xhat(s)
-    Omega = np.diag(rule.weights)
     W = Ps1 @ Xhat
-    A = W @ Ps.T @ Omega
-    M = Ps.T * rule.weights  # == Ps.T @ Omega
-    return HbvmTableau(k=k, s=s, rule=rule, A=A, Ps=Ps, Ps1=Ps1, Xhat=Xhat, Omega=Omega,
+    A = (W @ Ps.T) * rule.weights  # == W @ Ps.T @ Omega
+    M = Ps.T * rule.weights        # == Ps.T @ Omega
+    return HbvmTableau(k=k, s=s, rule=rule, A=A, Ps=Ps, Ps1=Ps1, Xhat=Xhat,
                        W=W, M=M, eig=xs_eigen(s))

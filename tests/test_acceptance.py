@@ -323,7 +323,7 @@ def test_11_property_invariants(report, tmp_path):
             tab = build_tableau(k, s)
             if np.max(np.abs(tab.A @ np.ones(k) - tab.c)) > 1e-13:
                 return False, f"row sums ({k},{s})"
-            if np.max(np.abs(tab.Ps.T @ tab.Omega @ tab.Ps - np.eye(s))) > 1e-13:
+            if np.max(np.abs(tab.Ps.T @ np.diag(tab.b) @ tab.Ps - np.eye(s))) > 1e-13:
                 return False, f"orthonormality ({k},{s})"
         for s in range(2, 7):
             data = build_splitting(s)

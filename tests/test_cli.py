@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ def test_analyze_values(capsys):
     assert float(asymptotic[3]) == pytest.approx(0.0774, abs=5e-4)
     one_sweep = rows[2]
     assert float(one_sweep[4]) == pytest.approx(0.0981, abs=5e-4)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["analyze"], "analyze.csv"),
+    (["tableau", "-k", "6", "-s", "3"], "tableau_k6_s3.csv"),
+])
+def test_output_is_byte_identical_to_the_recorded_csv(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_integrate_harmonic_stats_row(capsys):
@@ -317,3 +332,29 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# runs that end unconverged before their first step: no energy error to report
+ZERO_STEP_RUNS = [
+    (["--problem", "fpu", "--solver", "composition6", "--h", "0.001", "--t-end", "0.01"],
+     "composition6,,,0.001,0.01,composition6,,,0,***,0,,,false"),
+    (["--problem", "fpu", "-k", "6", "-s", "3", "--h", "0.1", "--t-end", "1",
+      "--solver", "fixed-point", "--max-outer", "1", "--every", "0"],
+     "hbvm,6,3,0.10000000000000001,1,fixed-point,2,1e-13,0,***,0,,,false"),
+]
+
+
+@pytest.mark.parametrize("argv,row", ZERO_STEP_RUNS)
+def test_integrate_zero_step_row_leaves_ham_err_empty(capsys, argv, row):
+    code, out, _ = run_cli(capsys, "integrate", *argv)
+    assert (code, out) == (0, STATS_HEADER + "\n" + row + "\n")
+
+
+def test_sweep_zero_step_rows_leave_ham_err_empty(tmp_path, capsys):
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("[run]\nproblem = fpu\nsolver = composition6\nh = 0.001\nt_end = 0.01\n\n"
+                    "[run]\nproblem = fpu\nk = 6\ns = 3\nh = 0.1\nt_end = 1\n"
+                    "solver = fixed-point\nmax_outer = 1\n")
+    code, out, _ = run_cli(capsys, "sweep", str(spec))
+    assert (code, out) == (0, "".join(line + "\n" for line in
+                                      [STATS_HEADER] + [row for _, row in ZERO_STEP_RUNS]))

@@ -13,11 +13,9 @@ from hbvm.hamiltonian import (
 from hbvm.integrator import (
     DIVERGENCE_THRESHOLD,
     RunConfig,
-    Trajectory,
     composition6_stormer_verlet,
     integrate,
     order_study,
-    solution_error,
 )
 from hbvm.nlsolve import SolveOptions
 
@@ -114,6 +112,21 @@ def test_energy_drift_tracked_in_stats():
     _, stats = integrate(cfg)
     assert stats.all_converged
     assert stats.max_hamiltonian_error < 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the splitting stalls above the stopping tolerance on the stiff "
+                          "chain and ends unconverged at t = 170.1 (mu = 2), t = 26.1 (mu = 4)")
+@pytest.mark.parametrize("mu", [2, 4])
+def test_splitting_integrates_the_stiff_chain_to_t_400(mu):
+    # acceptance 7's configuration over a long horizon; simplified Newton
+    # runs all 4000 steps and conserves H to 5.6e-13 relative
+    sysm = fpu_modified()
+    cfg = RunConfig(system=sysm, k=6, s=3, h=0.1, t_end=400.0,
+                    options=SolveOptions(solver="splitting", mu=mu), store_every=0)
+    _, stats = integrate(cfg)
+    assert (stats.steps, stats.all_converged) == (4000, True), stats.failed_at
+    assert stats.max_hamiltonian_error <= 1e-12 * abs(sysm.H(sysm.y0))
 
 
 def test_nonconvergence_truncates_and_records_time():
@@ -243,21 +256,6 @@ def test_gradient_and_hessian_counters_match_real_calls(solver):
         assert stats.hessian_evaluations == calls["hess"]
         grads[stacked] = calls["grad"]
     assert grads[False] == k * grads[True]
-
-
-def test_solution_error_aligned_grids():
-    t = np.linspace(0.0, 1.0, 11)
-    ref = Trajectory(t, np.zeros((11, 2)))
-    traj = Trajectory(t[::5], np.full((3, 2), 1e-3))
-    err = solution_error(traj, ref)
-    assert err == pytest.approx(np.sqrt(2.0) * 1e-3)  # reference is 0, scale is 1
-
-
-def test_solution_error_rejects_misaligned_grids():
-    ref = Trajectory(np.linspace(0, 1, 8), np.zeros((8, 2)))
-    traj = Trajectory(np.linspace(0, 1, 4), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        solution_error(traj, ref)  # 7 steps not a multiple of 3
 
 
 @pytest.mark.parametrize("k,s,h0,lo,hi", [

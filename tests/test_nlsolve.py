@@ -91,7 +91,14 @@ def test_stage_maps_are_cached_on_the_tableau():
     t = build_tableau(6, 3)
     assert np.array_equal(t.W, t.Ps1 @ t.Xhat)
     assert np.array_equal(t.M, t.Ps.T * t.rule.weights)
-    assert np.array_equal(t.A, t.Ps1 @ t.Xhat @ t.Ps.T @ t.Omega)
+    assert np.array_equal(t.A, t.Ps1 @ t.Xhat @ t.Ps.T @ np.diag(t.b))
+    # A scales the columns of W P_s^T by the weights: the product with
+    # diag(b) in every value and sign bit
+    for k in range(1, 21):
+        for s in range(1, k + 1):
+            t = build_tableau(k, s)
+            ref = t.W @ t.Ps.T @ np.diag(t.b)
+            assert np.array_equal(t.A.view(np.uint64), ref.view(np.uint64)), (k, s)
 
 
 def _band_of(A, kl, ku):
@@ -324,7 +331,7 @@ def test_residual_vanishes_at_linear_oracle():
 @pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])
 def test_solvers_reproduce_linear_oracle(solver):
     p = _problem(harmonic_oscillator(2.0), 4, 2, 0.1)
-    res = solve(p, SolveOptions(solver=solver))
+    res = solve(p, SolveOptions(solver=solver), data=build_splitting(2))
     assert res.converged
     assert np.max(np.abs(res.gamma - linear_stage_oracle(p))) < 1e-12
 
@@ -406,7 +413,8 @@ def test_every_solver_stops_at_its_cap_with_a_finite_increment(solver, max_outer
     # two Newton-type iterations cannot converge on the stiff chain, and ten
     # fixed point iterations grow but stay finite
     p = _problem(fpu_modified(), 6, 3, 0.01)
-    res = solve(p, SolveOptions(solver=solver, max_outer=max_outer, mu=3))
+    res = solve(p, SolveOptions(solver=solver, max_outer=max_outer, mu=3),
+                data=build_splitting(3))
     assert not res.converged
     assert res.outer_iterations == cap
     assert res.residual_evaluations == res.outer_iterations
@@ -418,6 +426,15 @@ def test_splitting_rejects_mismatched_data():
     p = _problem(harmonic_oscillator(), 4, 2, 0.1)
     with pytest.raises(ValueError):
         splitting_solve(p, build_splitting(3), SolveOptions())
+
+
+def test_splitting_without_data_raises():
+    # solve builds no SplittingData per step: the caller supplies it
+    p = _problem(harmonic_oscillator(), 4, 2, 0.1)
+    with pytest.raises(ValueError, match="no splitting data, tableau has s=2"):
+        solve(p, SolveOptions(solver="splitting"))
+    with pytest.raises(ValueError, match="no splitting data"):
+        splitting_solve(p, None, SolveOptions())
 
 
 def test_solver_dispatch_rejects_unknown_name():
@@ -773,7 +790,7 @@ def test_one_step_conserves_quartic_energy_exactly():
     sysm = fpu_modified()
     h = 0.05
     p = _problem(sysm, 6, 3, h)
-    res = solve(p, SolveOptions(solver="splitting", mu=10))
+    res = solve(p, SolveOptions(solver="splitting", mu=10), data=build_splitting(3))
     assert res.converged
     y1 = p.y0_step + h * res.gamma[0]
     H0 = sysm.H(sysm.y0)

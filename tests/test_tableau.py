@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hbvm.polybasis import gauss_rule, legendre_integral
-from hbvm.tableau import build_Xhat, build_tableau, det_Xs, leading_Xs, xi
+from hbvm.polybasis import gauss_rule, legendre_integral, xi
+from hbvm.tableau import build_Xhat, build_tableau, det_Xs, leading_Xs
 
 
 def gauss_collocation_matrix(s):
@@ -87,13 +87,13 @@ def test_k_equals_s_recovers_gauss(s):
 @pytest.mark.parametrize("k,s", [(k, s) for k in range(1, 11) for s in range(1, k + 1)])
 def test_weighted_basis_orthogonality(k, s):
     tab = build_tableau(k, s)
-    G = tab.Ps.T @ tab.Omega @ tab.Ps
+    G = tab.Ps.T @ np.diag(tab.b) @ tab.Ps
     assert np.max(np.abs(G - np.eye(s))) < 1e-13
 
 
 def test_reconstruction_identity():
     tab = build_tableau(8, 3)
-    A = tab.Ps1 @ tab.Xhat @ tab.Ps.T @ tab.Omega
+    A = tab.Ps1 @ tab.Xhat @ tab.Ps.T @ np.diag(tab.b)
     assert np.max(np.abs(A - tab.A)) < 1e-14
 
 

@@ -173,6 +173,9 @@ def _parse_sweep_spec(text):
         if cur is None or "=" not in line:
             raise ValueError(f"malformed sweep spec at line {ln}: {raw!r}")
         key, val = (t.strip() for t in line.split("=", 1))
+        if key in cur:
+            raise ValueError(f"sweep spec key {key!r} given twice in one [run] block, "
+                             f"again at line {ln}")
         cur[key] = val
     return runs
 

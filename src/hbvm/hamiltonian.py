@@ -68,76 +68,68 @@ def separable_hessian(hess):
 # ---------------------------------------------------------------------------
 # charged particle in a magnetic field with Biot-Savart potential
 
-def charged_particle(mass=1.0, charge=-1.0, b0=1.0):
-    """Motion of a charged particle in a magnetic field, 2m = 6.
+def charged_particle():
+    """Motion of a charged particle in a magnetic field, 2m = 6, at the
+    paper's constants: unit mass, charge -1 and field 1.
 
-    H(x, y, z, x', y', z') = 1/(2 mass) * [(x' - a x/rho^2)^2
-        + (y' - a y/rho^2)^2 + (z' + a log rho)^2],
-    rho = sqrt(x^2 + y^2), a = charge * b0. Positions (x, y, z) first, then
-    the momenta (x', y', z'). The potential is singular on the z-axis; states
-    with rho < 1e-8 are rejected (the benchmark trajectory stays near
-    rho = 10, so this only flags programming errors). grad also maps a
-    (k, 6) stack of states row by row.
+    H(x, y, z, x', y', z') = 1/2 * [(x' + x/rho^2)^2 + (y' + y/rho^2)^2
+        + (z' - log rho)^2],
+    rho = sqrt(x^2 + y^2). Positions (x, y, z) first, then the momenta
+    (x', y', z'). The potential is singular on the z-axis; states with
+    rho < 1e-8 are rejected (the benchmark trajectory stays near rho = 10, so
+    this only flags programming errors). grad also maps a (k, 6) stack of
+    states row by row.
     """
-    a = charge * b0
 
     def _uvw(state):
         x, y, px, py, pz = (state[..., i] for i in (0, 1, 3, 4, 5))
         r2 = x * x + y * y
         if np.any(r2 < 1e-16):
             raise ValueError("charged particle state on the z-axis: rho ~ 0")
-        u = px - a * x / r2
-        v = py - a * y / r2
-        w = pz + 0.5 * a * np.log(r2)
-        return x, y, r2, u, v, w
+        return x, y, r2, px + x / r2, py + y / r2, pz - 0.5 * np.log(r2)
 
-    def H(state):
-        _, _, _, u, v, w = _uvw(state)
-        return (u * u + v * v + w * w) / (2.0 * mass)
-
-    def grad(state):
-        x, y, r2, u, v, w = _uvw(state)
+    def _slopes(x, y, r2):
+        # ax, ay = d(x/r2)/dx, d(x/r2)/dy; those of y/r2 are ay, -ax.
         # C pow per element, as for a single state: on arrays, ** 2 squares,
         # which can differ from pow in the last bit
         r4 = np.float_power(r2, 2)
-        ax = (y * y - x * x) / r4  # d(x/r2)/dx
-        ay = -2.0 * x * y / r4     # d(x/r2)/dy
-        bx = ay                    # d(y/r2)/dx
-        by = -ax                   # d(y/r2)/dy
+        return (y * y - x * x) / r4, -2.0 * x * y / r4
+
+    def H(state):
+        _, _, _, u, v, w = _uvw(state)
+        return (u * u + v * v + w * w) / 2.0
+
+    def grad(state):
+        x, y, r2, u, v, w = _uvw(state)
+        ax, ay = _slopes(x, y, r2)
         g = np.empty(np.shape(state))
-        g[..., 0] = (-a * (u * ax + v * bx) + a * w * x / r2) / mass
-        g[..., 1] = (-a * (u * ay + v * by) + a * w * y / r2) / mass
+        g[..., 0] = (u * ax + v * ay) - w * x / r2
+        g[..., 1] = (u * ay - v * ax) - w * y / r2
         g[..., 2] = 0.0
-        g[..., 3] = u / mass
-        g[..., 4] = v / mass
-        g[..., 5] = w / mass
+        g[..., 3], g[..., 4], g[..., 5] = u, v, w
         return g
 
     def hess(state):
         x, y, r2, u, v, w = _uvw(state)
-        ax = (y * y - x * x) / r2**2
-        ay = -2.0 * x * y / r2**2
-        bx, by = ay, -ax
-        axx = 2.0 * x * (x * x - 3.0 * y * y) / r2**3
-        axy = 2.0 * y * (3.0 * x * x - y * y) / r2**3
-        ayy = -axx
-        byy = 2.0 * y * (y * y - 3.0 * x * x) / r2**3
-        bxy = 2.0 * x * (3.0 * y * y - x * x) / r2**3
-        bxx = -byy
-        # first derivatives of (u, v, w) wrt (x, y)
-        ux, uy = -a * ax, -a * ay
-        vx, vy = -a * bx, -a * by
-        wx, wy = a * x / r2, a * y / r2
-        Hxx = ux * ux + vx * vx + wx * wx + u * (-a * axx) + v * (-a * bxx) + w * (a * ax)
-        Hxy = ux * uy + vx * vy + wx * wy + u * (-a * axy) + v * (-a * bxy) + w * (a * ay)
-        Hyy = uy * uy + vy * vy + wy * wy + u * (-a * ayy) + v * (-a * byy) + w * (-a * ax)
+        ax, ay = _slopes(x, y, r2)
+        r6 = r2**3
+        axx = 2.0 * x * (x * x - 3.0 * y * y) / r6
+        axy = 2.0 * y * (3.0 * x * x - y * y) / r6
+        byy = 2.0 * y * (y * y - 3.0 * x * x) / r6
+        bxy = 2.0 * x * (3.0 * y * y - x * x) / r6
+        # first derivatives of w wrt (x, y); those of (u, v) are the slopes.
+        # u_x u_y + v_x v_y = ax ay - ay ax is 0.0, kept for the sign of a zero Hxy
+        wx, wy = -x / r2, -y / r2
+        Hxx = ax * ax + ay * ay + wx * wx + u * axx - v * byy - w * ax
+        Hxy = ax * ay - ay * ax + wx * wy + u * axy + v * bxy - w * ay
+        Hyy = ay * ay + ax * ax + wy * wy - u * axx + v * byy + w * ax
         M = np.zeros((6, 6))
         M[0, 0], M[0, 1], M[1, 0], M[1, 1] = Hxx, Hxy, Hxy, Hyy
-        M[0, 3], M[0, 4], M[0, 5] = ux, vx, wx
-        M[1, 3], M[1, 4], M[1, 5] = uy, vy, wy
+        M[0, 3], M[0, 4], M[0, 5] = ax, ay, wx
+        M[1, 3], M[1, 4], M[1, 5] = ay, -ax, wy
         M[3:, :2] = M[:2, 3:].T
         M[3, 3] = M[4, 4] = M[5, 5] = 1.0
-        return M / mass
+        return M
 
     y0 = np.array([0.5, 10.0, 0.0, -0.1, -0.3, 0.0])
     return HamiltonianSystem(m=3, H=H, grad=grad, hess=hess, y0=y0,

@@ -352,10 +352,11 @@ def _inner_iteration(fac, L, T, h, mu):
 def splitting_solve(p, data, opts=SolveOptions()):
     """Inner-outer triangular-splitting iteration in gammahat = Phat gamma.
 
-    Each outer step evaluates eta = -Phat F(Phat^{-1} gammahat), then runs the
-    mu inner sweeps of _inner_iteration, T = data.T = L (U - I), against the
-    one factored matrix I - h d_s B, B = J hess H(y0). The new step value is
-    y1 = y0 + h gamma_0.
+    Each outer step evaluates eta = Phat F(Phat^{-1} gammahat), runs the mu
+    inner sweeps of _inner_iteration, T = data.T = L (U - I), against the one
+    factored matrix I - h d_s B, B = J hess H(y0), and subtracts their D from
+    gammahat. The sweeps are linear and sign-symmetric in eta, so this has the
+    bits of adding the D of -eta. The new step value is y1 = y0 + h gamma_0.
     """
     s, h = p.tableau.s, p.h
     if data is None or data.s != s:
@@ -370,8 +371,8 @@ def splitting_solve(p, data, opts=SolveOptions()):
     Phat, Phat_lu = data.Phat, data.Phat_lu
 
     def step(ghat):
-        D = inner(-(Phat @ residual_F(p, lu_solve(Phat_lu, ghat))))
-        return ghat + D, D
+        D = inner(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
+        return ghat - D, D
 
     res = _iterate(p, opts, step, opts.max_outer if facs else 0)
     res.gamma = lu_solve(Phat_lu, res.gamma)

@@ -240,6 +240,17 @@ def test_sweep_names_a_missing_step_size(tmp_path, capsys):
     assert out == ""
 
 
+def test_sweep_rejects_a_key_given_twice_in_one_block(tmp_path, capsys):
+    # the last value would otherwise win silently: this block would run at h = 0.2
+    spec = tmp_path / "bad.txt"
+    spec.write_text("[run]\nh = 0.1\nt_end = 0.2\n\n[run]\nh = 0.1\nt_end = 0.2\nh = 0.2\n")
+    code, out, err = run_cli(capsys, "sweep", str(spec))
+    assert code == 2
+    assert err.strip() == ("error: sweep spec key 'h' given twice in one [run] block, "
+                           "again at line 8")
+    assert out == ""
+
+
 @pytest.mark.parametrize("bad_block,message", [
     ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1"),
     ("omega = -1\nh = 0.1\n", "omega must be positive"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hbvm.hamiltonian import (
@@ -21,6 +21,11 @@ RNG = np.random.default_rng(20260823)
 
 def _random_states(system, n=5, spread=0.3):
     return [system.y0 + spread * RNG.standard_normal(system.dim) for _ in range(n)]
+
+
+def _same_bits(a, b):
+    """np.array_equal, and the same sign of every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_apply_J_squares_to_minus_identity():
@@ -122,10 +127,106 @@ def test_charged_rejects_axis_singularity():
         sysm.H(np.array([0.0, 0.0, 1.0, 0.1, 0.2, 0.3]))
 
 
-def test_charged_parameters_scale_energy():
-    heavy = charged_particle(mass=4.0)
-    light = charged_particle(mass=1.0)
-    assert heavy.H(heavy.y0) == pytest.approx(light.H(light.y0) / 4.0, rel=1e-15)
+def _reference_charged_kernels():
+    """H, grad and hess of the charged particle with the mass, charge and
+    field written out, at the paper's constants: the reference the kernels
+    with the constants folded in must match bit for bit."""
+    mass, charge, b0 = 1.0, -1.0, 1.0
+    a = charge * b0
+
+    def _uvw(state):
+        x, y, px, py, pz = (state[..., i] for i in (0, 1, 3, 4, 5))
+        r2 = x * x + y * y
+        u = px - a * x / r2
+        v = py - a * y / r2
+        w = pz + 0.5 * a * np.log(r2)
+        return x, y, r2, u, v, w
+
+    def H(state):
+        _, _, _, u, v, w = _uvw(state)
+        return (u * u + v * v + w * w) / (2.0 * mass)
+
+    def grad(state):
+        x, y, r2, u, v, w = _uvw(state)
+        r4 = np.float_power(r2, 2)
+        ax = (y * y - x * x) / r4
+        ay = -2.0 * x * y / r4
+        bx = ay
+        by = -ax
+        g = np.empty(np.shape(state))
+        g[..., 0] = (-a * (u * ax + v * bx) + a * w * x / r2) / mass
+        g[..., 1] = (-a * (u * ay + v * by) + a * w * y / r2) / mass
+        g[..., 2] = 0.0
+        g[..., 3] = u / mass
+        g[..., 4] = v / mass
+        g[..., 5] = w / mass
+        return g
+
+    def hess(state):
+        x, y, r2, u, v, w = _uvw(state)
+        ax = (y * y - x * x) / r2**2
+        ay = -2.0 * x * y / r2**2
+        bx, by = ay, -ax
+        axx = 2.0 * x * (x * x - 3.0 * y * y) / r2**3
+        axy = 2.0 * y * (3.0 * x * x - y * y) / r2**3
+        ayy = -axx
+        byy = 2.0 * y * (y * y - 3.0 * x * x) / r2**3
+        bxy = 2.0 * x * (3.0 * y * y - x * x) / r2**3
+        bxx = -byy
+        ux, uy = -a * ax, -a * ay
+        vx, vy = -a * bx, -a * by
+        wx, wy = a * x / r2, a * y / r2
+        Hxx = ux * ux + vx * vx + wx * wx + u * (-a * axx) + v * (-a * bxx) + w * (a * ax)
+        Hxy = ux * uy + vx * vy + wx * wy + u * (-a * axy) + v * (-a * bxy) + w * (a * ay)
+        Hyy = uy * uy + vy * vy + wy * wy + u * (-a * ayy) + v * (-a * byy) + w * (-a * ax)
+        M = np.zeros((6, 6))
+        M[0, 0], M[0, 1], M[1, 0], M[1, 1] = Hxx, Hxy, Hxy, Hyy
+        M[0, 3], M[0, 4], M[0, 5] = ux, vx, wx
+        M[1, 3], M[1, 4], M[1, 5] = uy, vy, wy
+        M[3:, :2] = M[:2, 3:].T
+        M[3, 3] = M[4, 4] = M[5, 5] = 1.0
+        return M / mass
+
+    return H, grad, hess
+
+
+REFERENCE_CHARGED = _reference_charged_kernels()
+CHARGED_STATES = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+def _charged_states(rows, seed, log_scale, zero_frac):
+    """rows states (rows = None: one state) around y0, scaled by 10^log_scale,
+    with about zero_frac of the entries other than y set to +0.0 or -0.0;
+    none lies within 1e-8 of the z-axis."""
+    rng = np.random.default_rng(seed)
+    shape = (6,) if rows is None else (rows, 6)
+    y = charged_particle().y0 + 10.0 ** log_scale * rng.standard_normal(shape)
+    zeros = rng.random(shape) < zero_frac
+    zeros[..., 1] = False
+    y[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    assume(np.all(y[..., 0] ** 2 + y[..., 1] ** 2 >= 1e-16))
+    return y
+
+
+@CHARGED_STATES
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6, 3),
+       zero_frac=st.sampled_from([0.0, 0.3]))
+def test_charged_kernels_equal_the_reference_bit_for_bit(seed, log_scale, zero_frac):
+    sysm = charged_particle()
+    y = _charged_states(None, seed, log_scale, zero_frac)
+    for kernel, reference in zip((sysm.H, sysm.grad, sysm.hess), REFERENCE_CHARGED):
+        assert _same_bits(kernel(y), reference(y))
+
+
+@CHARGED_STATES
+@given(rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-6, 3), zero_frac=st.sampled_from([0.0, 0.3]))
+def test_charged_stacked_kernels_equal_the_reference_bit_for_bit(rows, seed, log_scale,
+                                                                 zero_frac):
+    sysm = charged_particle()
+    Y = _charged_states(rows, seed, log_scale, zero_frac)
+    for kernel, reference in zip((sysm.H, sysm.grad), REFERENCE_CHARGED):
+        assert _same_bits(kernel(Y), reference(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +363,6 @@ def _fpu_states(rows, seed, log_scale, zero_frac):
     zeros = rng.random(shape) < zero_frac
     y[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
     return y
-
-
-def _same_bits(a, b):
-    """np.array_equal, and the same sign of every zero."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @FPU_STATES

@@ -4,11 +4,7 @@ with an efficient triangular-splitting solver for the stage equations."""
 from .convergence import (
     AmplificationReport,
     amplification_report,
-    averaged_factors,
     iteration_matrix,
-    rho_inf,
-    rho_star,
-    rho_tilde,
     spectral_radius,
 )
 from .hamiltonian import (

@@ -28,7 +28,11 @@ PROBLEMS = {
 SOLVERS = ("fixed-point", "simplified-newton", "splitting", "composition6")
 _DEFAULT_SOLVER = SolveOptions.solver.replace("_", "-")
 
-_SWEEP_KEYS = {"problem", "k", "s", "h", "t_end", "solver", "mu", "tol", "max_outer", "omega"}
+# sweep spec key -> (parser, default); h has no default
+_SWEEP_KEYS = {"problem": (str, "harmonic"), "k": (int, 2), "s": (int, 2), "h": (float, None),
+               "t_end": (float, 10.0), "solver": (str, _DEFAULT_SOLVER),
+               "mu": (int, SolveOptions.mu), "tol": (float, SolveOptions.tol),
+               "max_outer": (int, SolveOptions.max_outer), "omega": (float, 1.0)}
 
 STATS_HEADER = ("method,k,s,h,t_end,solver,mu,tol,steps,outer_iters,"
                 "inner_iters,ham_err,sol_err,converged")
@@ -160,7 +164,7 @@ def cmd_integrate(args):
 
 
 def _parse_sweep_spec(text):
-    """Flat [run] blocks of key=value lines."""
+    """Flat [run] blocks of key=value lines, each a dict key -> (value, line)."""
     runs, cur = [], None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -176,7 +180,7 @@ def _parse_sweep_spec(text):
         if key in cur:
             raise ValueError(f"sweep spec key {key!r} given twice in one [run] block, "
                              f"again at line {ln}")
-        cur[key] = val
+        cur[key] = (val, ln)
     return runs
 
 
@@ -203,25 +207,22 @@ def cmd_sweep(args):
 
 
 def _sweep_args(run):
-    unknown = sorted(set(run) - _SWEEP_KEYS)
+    """The argparse.Namespace of one [run] block; a ValueError names each
+    unknown key, or the first value that does not parse, with its line."""
+    unknown = sorted(set(run) - set(_SWEEP_KEYS), key=lambda key: run[key][1])
     if unknown:
-        raise ValueError(f"unknown sweep spec key {', '.join(map(repr, unknown))}")
+        raise ValueError("unknown sweep spec key " + ", ".join(
+            f"{key!r} at line {run[key][1]}" for key in unknown))
     if "h" not in run:
         raise ValueError("missing required sweep spec key 'h'")
-    ns = argparse.Namespace(
-        problem=run.get("problem", "harmonic"),
-        k=int(run.get("k", 2)),
-        s=int(run.get("s", 2)),
-        h=float(run["h"]),
-        t_end=float(run.get("t_end", 10.0)),
-        solver=run.get("solver", _DEFAULT_SOLVER),
-        mu=int(run.get("mu", SolveOptions.mu)),
-        tol=float(run.get("tol", SolveOptions.tol)),
-        max_outer=int(run.get("max_outer", SolveOptions.max_outer)),
-        omega=float(run.get("omega", 1.0)),
-        every=0,
-        out=None,
-    )
+    ns = argparse.Namespace(every=0, out=None, **{k: d for k, (_, d) in _SWEEP_KEYS.items()})
+    for key, (val, ln) in run.items():
+        parse = _SWEEP_KEYS[key][0]
+        try:
+            setattr(ns, key, parse(val))
+        except ValueError:
+            raise ValueError(f"sweep spec key {key!r} at line {ln}: {val!r} is not "
+                             f"{'an int' if parse is int else 'a float'}") from None
     if ns.problem not in PROBLEMS:
         raise ValueError(f"unknown problem {ns.problem!r}")
     if ns.solver not in SOLVERS:

@@ -8,10 +8,11 @@ factor rho~ = rho(T) governing q -> 0, the stiff limit rho_inf = rho(U-I) = 0
 (U - I is nilpotent), and averaged factors measuring the contraction after a
 finite number mu of iterations, in the infinity norm.
 
-The axis scans are batched: iteration_matrix takes an array of q and returns
-the (N, s, s) stack of Z(q), spectral_radius and the averaged norm reduce
-over the last axes, and the grid is evaluated in fixed blocks of _BLOCK
-points. Every value is bit for bit the one a scalar q gives.
+amplification_report computes all of them from one batched scan of the
+axis: iteration_matrix takes an array of q and returns the (N, s, s) stack
+of Z(q), spectral_radius and the averaged norm reduce over the last axes,
+and the grid is evaluated in fixed blocks of _BLOCK points, each block once
+for rho and every mu. Every value is bit for bit the one a scalar q gives.
 
 The golden-section refinement of each maximum is in-house (_golden_max), step
 for step the golden method of scipy's minimize_scalar, so the analysis runs on
@@ -28,10 +29,6 @@ __all__ = [
     "AmplificationReport",
     "iteration_matrix",
     "spectral_radius",
-    "rho_star",
-    "rho_tilde",
-    "rho_inf",
-    "averaged_factors",
     "amplification_report",
 ]
 
@@ -95,12 +92,10 @@ def _golden_max(f, lo, mid, hi, xtol):
     return (f1, x1) if f1 > f2 else (f2, x2)
 
 
-def _maximize_on_axis(f):
-    """max of f over x in _GRID, refined by golden-section around the best
-    gridpoint to relative tolerance 1e-10. Returns (max, argmax).
-
-    f maps an array of x to the array of values and a float to a float."""
-    vals = np.concatenate([f(_GRID[i:i + _BLOCK]) for i in range(0, len(_GRID), _BLOCK)])
+def _maximize_on_axis(vals, f):
+    """max over x in _GRID, given vals = f at each gridpoint, refined by
+    golden-section search of f (a float to a float) around the best
+    gridpoint to relative tolerance 1e-10. Returns (max, argmax)."""
     i = int(np.argmax(vals))
     if i == 0 or i == len(_GRID) - 1 or vals[i] <= max(vals[i - 1], vals[i + 1]):
         return float(vals[i]), float(_GRID[i])
@@ -108,35 +103,6 @@ def _maximize_on_axis(f):
     if fmax >= vals[i]:
         return float(fmax), float(xmax)
     return float(vals[i]), float(_GRID[i])
-
-
-def rho_star(data):
-    """Maximum amplification factor rho* = max_x rho(Z(ix)) and its argmax.
-
-    Conjugate symmetry rho(ix) = rho(-ix) halves the scan to x >= 0.
-    """
-    return _maximize_on_axis(lambda x: spectral_radius(iteration_matrix(1j * x, data)))
-
-
-def rho_tilde(data):
-    """Nonstiff amplification factor rho(L(U - I)) = rho(T)."""
-    return spectral_radius(data.T)
-
-
-def rho_inf(data):
-    """Stiff amplification factor rho(U - I); zero since U - I is nilpotent."""
-    return spectral_radius(data.U - np.eye(data.s))
-
-
-def averaged_factors(data, mu):
-    """Averaged factors (rho*_mu, rho~_mu, rho_inf_mu) for mu iterations,
-    in the infinity norm: rho*_mu = sup_x ||Z(ix)^mu||^(1/mu), etc."""
-    if mu < 1:
-        raise ValueError(f"mu must be positive, got {mu}")
-    star, _ = _maximize_on_axis(lambda x: _averaged_norm(iteration_matrix(1j * x, data), mu))
-    tilde = _averaged_norm(data.T, mu)
-    stiff = _averaged_norm(data.U - np.eye(data.s), mu)
-    return star, tilde, stiff
 
 
 def _averaged_norm(M, mu):
@@ -150,14 +116,32 @@ def _averaged_norm(M, mu):
 
 
 def amplification_report(data, mus=(1, 2, 3)):
-    """Full amplification analysis for one splitting."""
-    star, xstar = rho_star(data)
-    averaged = [(mu, *averaged_factors(data, mu)) for mu in mus]
-    return AmplificationReport(
-        s=data.s,
-        rho_star=star,
-        x_star=xstar,
-        rho_tilde=rho_tilde(data),
-        rho_inf=rho_inf(data),
-        averaged=averaged,
-    )
+    """Full amplification analysis for one splitting: rho* = max_x rho(Z(ix))
+    and its argmax, rho~ = rho(T), rho_inf = rho(U - I), and for each mu the
+    averaged factors (mu, rho*_mu, rho~_mu, rho_inf_mu), rho*_mu =
+    sup_x ||Z(ix)^mu||^(1/mu), etc.
+
+    Conjugate symmetry rho(ix) = rho(-ix) halves the scan to x >= 0. Each
+    block of _GRID is evaluated once and reduced at once to rho(Z) and to
+    every mu's averaged norm; only those values are kept, not the Z stacks.
+    """
+    if any(mu < 1 for mu in mus):
+        raise ValueError(f"mu must be positive, got {min(mus)}")
+
+    def reduced(Z):
+        return [spectral_radius(Z)] + [_averaged_norm(Z, mu) for mu in mus]
+
+    blocks = [reduced(iteration_matrix(1j * _GRID[i:i + _BLOCK], data))
+              for i in range(0, len(_GRID), _BLOCK)]
+    vals = [np.concatenate(col) for col in zip(*blocks)]
+
+    star, xstar = _maximize_on_axis(
+        vals[0], lambda x: spectral_radius(iteration_matrix(1j * x, data)))
+    stiff = data.U - np.eye(data.s)
+    averaged = []
+    for mu, v in zip(mus, vals[1:]):
+        star_mu, _ = _maximize_on_axis(
+            v, lambda x: _averaged_norm(iteration_matrix(1j * x, data), mu))
+        averaged.append((mu, star_mu, _averaged_norm(data.T, mu), _averaged_norm(stiff, mu)))
+    return AmplificationReport(data.s, star, xstar, spectral_radius(data.T),
+                               spectral_radius(stiff), averaged)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .hamiltonian import HamiltonianSystem, separable_hessian
 from .nlsolve import SolveOptions, StageProblem, solve
-from .splitting import build_splitting
+from .polybasis import MAX_NODES
+from .splitting import MAX_S, build_splitting
 from .tableau import build_tableau
 
 __all__ = [
@@ -57,6 +58,10 @@ class RunConfig:
         _check_run(self.h, self.t_end, self.store_every)
         if self.k < self.s or self.s < 1:
             raise ValueError("require k >= s >= 1")
+        if self.k > MAX_NODES:
+            raise ValueError(f"require k <= {MAX_NODES}, got k = {self.k}")
+        if self.options.solver == "splitting" and self.s > MAX_S:
+            raise ValueError(f"the splitting requires s <= {MAX_S}, got s = {self.s}")
 
 
 @dataclass

@@ -5,23 +5,22 @@ scipy.linalg.lu_factor) and solved by getrs; a matrix in LAPACK band storage
 is factored by gbtrf and solved by gbtrs, O(m) work for a fixed band. Real or
 complex routines follow the matrix's dtype. Neither lu_factor nor lu_solve
 has scipy's finiteness and shape checks: a non-finite matrix or b gives
-non-finite factors or x instead of an exception. hbvm.nlsolve binds both
-names at module level, and its step factors call them through those
-bindings.
+non-finite factors or x instead of an exception. A singular matrix raises
+np.linalg.LinAlgError, where scipy's lu_factor only warns. hbvm.nlsolve
+binds both names at module level, and its step factors call them through
+those bindings.
 
 The eight routines are the f2py wrappers of scipy's compiled extension
 scipy/linalg/_flapack, the ones scipy.linalg.lapack re-exports, so they give
 the same bits. The extension is loaded from its file: no Python code of the
 scipy.linalg package runs, which keeps about 0.3 s and 25 MB out of
-`import hbvm`. Only a singular factor imports scipy.linalg, for its
-LinAlgWarning.
+`import hbvm`.
 """
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
 import os
-import warnings
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -56,7 +55,7 @@ def lu_factor(a, band=None):
     """The LU of a. With band = (kl, ku), a is the matrix in LAPACK band
     storage: 2 kl + ku + 1 rows, row kl + ku + i - j holding entry (i, j), and
     the first kl rows are gbtrf's workspace for the fill-in of row pivoting.
-    A singular matrix warns (scipy's LinAlgWarning) as scipy's lu_factor does."""
+    A singular matrix raises np.linalg.LinAlgError."""
     t = "z" if np.iscomplexobj(a) else "d"
     if band is None:
         lu, piv, info = getattr(_flapack, t + "getrf")(a, overwrite_a=False)
@@ -70,10 +69,7 @@ def lu_factor(a, band=None):
         raise ValueError(f"illegal value in argument {-info} of "
                          f"{'getrf' if band is None else 'gbtrf'}")
     if info > 0:
-        from scipy.linalg import LinAlgWarning
-
-        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                      LinAlgWarning, stacklevel=2)
+        raise np.linalg.LinAlgError(f"Diagonal number {info} is exactly zero. Singular matrix.")
     return LU(lu, piv, trs)
 
 

@@ -50,13 +50,14 @@ tableau, Phat comes factored with the splitting data, and every block solve
 calls LAPACK getrs or gbtrs directly, the routine picked once per factor.
 lu_factor and lu_solve (from hbvm.lu) are the one factor and the one solve
 entry point; the step factors call them through this module's names. A
-non-finite gradient, correction or Hessian is not an error: it ends the step
-with converged=False. Every SolveResult counts the gradient and Hessian
-evaluations and the factorizations its step made.
+non-finite gradient, correction or Hessian, or a singular step matrix, is not
+an error: it ends the step with converged=False. Every SolveResult counts
+the gradient and Hessian evaluations and the factorizations its step made.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +76,8 @@ __all__ = [
     "step_factors",
     "splitting_solve",
 ]
+
+_SOLVERS = ("fixed_point", "simplified_newton", "splitting")
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,12 @@ class SolveOptions:
     tol: float = 1e-13
     max_outer: int = 100
     mu: int = 2
-    solver: str = "splitting"  # fixed_point | simplified_newton | splitting
+    solver: str = "splitting"  # one of _SOLVERS
 
     def __post_init__(self):
+        if self.solver not in _SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}; "
+                             f"expected one of {', '.join(_SOLVERS)}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"require a finite tol > 0, got tol = {self.tol}")
         for name in ("mu", "max_outer"):
@@ -153,8 +159,8 @@ def _iterate(p, opts, step, cap):
     x as its gamma (the splitting maps it from gammahat afterwards).
     Divergence shows up as overflow before the finiteness check trips; it is
     data (a *** table entry), not an arithmetic error, and ends the step with
-    converged=False. With cap 0 (no step factors: a non-finite Hessian) the
-    step fails before iterating.
+    converged=False. With cap 0 (no step factors: a non-finite Hessian or a
+    singular step matrix) the step fails before iterating.
     """
     grads_per_residual = 1 if p.system.stacked_grad else p.tableau.k
 
@@ -196,14 +202,16 @@ def simplified_newton_solve(p, opts=SolveOptions()):
     eigenvalue of each conjugate pair is solved for (see XsEigen).
     """
     eig = p.tableau.eig
-    facs = step_factors(p.system.hess(p.y0_step), p.h * eig.lam)
+    hess0 = p.system.hess(p.y0_step)
+    facs = step_factors(hess0, p.h * eig.lam)
 
     def step(gamma):
         delta = _newton_correction(eig, facs, residual_F(p, gamma))
         return gamma + delta, delta
 
     res = _iterate(p, opts, step, opts.max_outer if facs else 0)
-    res.hessian_evaluations, res.factorizations = 1, len(facs)
+    res.hessian_evaluations = 1
+    res.factorizations = len(eig.lam) if facs or np.all(np.isfinite(hess0)) else 0
     return res
 
 
@@ -221,7 +229,8 @@ def _newton_correction(eig, facs, F):
 
 def step_factors(hess0, cs):
     """A step factor of I - c B, B = J hess0, for each shift c, or none at all
-    when hess0 is not finite: an object whose solve(b) returns (I - c B)^{-1} b
+    when hess0 is not finite (no LU is made) or some I - c B is singular
+    (every LU is still made): an object whose solve(b) returns (I - c B)^{-1} b
     and whose sweep(hL, L2, rhs) -> (D, B D) solves [I - h L (x) B] D = rhs
     for hL = h L and L2 = hL hL, with c = h d_s; _inner_iteration runs the
     splitting's mu sweeps over it. A c with no imaginary part is factored in
@@ -243,10 +252,16 @@ def step_factors(hess0, cs):
         m = hess0.shape[0] // 2
         V = hess0[:m, :m]
         kl, ku = _bandwidths(V)
-        band = (kl, ku) if 2 * kl + ku + 1 < m else None
-        return [_SeparableStep(V, c, band) for c in cs]
-    B = apply_J(hess0.T).T
-    return [_DenseStep(B, c) for c in cs]
+        make = partial(_SeparableStep, V, band=(kl, ku) if 2 * kl + ku + 1 < m else None)
+    else:
+        make = partial(_DenseStep, apply_J(hess0.T).T)
+    facs = []
+    for c in cs:
+        try:
+            facs.append(make(c))
+        except np.linalg.LinAlgError:
+            facs.append(None)
+    return [] if None in facs else facs
 
 
 def _bandwidths(V):
@@ -366,7 +381,8 @@ def splitting_solve(p, data, opts=SolveOptions()):
     # the benchmark self-test (perfbench/test_perfbench.py) pins two per step,
     # and goes together with that pin (ROADMAP item 1)
     p.system.hess(p.y0_step)
-    facs = step_factors(p.system.hess(p.y0_step), [h * data.d])
+    hess0 = p.system.hess(p.y0_step)
+    facs = step_factors(hess0, [h * data.d])
     inner = _inner_iteration(facs[0], data.L, data.T, h, opts.mu) if facs else None
     Phat, Phat_lu = data.Phat, data.Phat_lu
 
@@ -377,7 +393,8 @@ def splitting_solve(p, data, opts=SolveOptions()):
     res = _iterate(p, opts, step, opts.max_outer if facs else 0)
     res.gamma = lu_solve(Phat_lu, res.gamma)
     res.inner_iterations_total = opts.mu * res.outer_iterations
-    res.hessian_evaluations, res.factorizations = 2, len(facs)
+    res.hessian_evaluations = 2
+    res.factorizations = 1 if facs or np.all(np.isfinite(hess0)) else 0
     return res
 
 
@@ -388,6 +405,4 @@ def solve(p, opts=SolveOptions(), data=None):
         return fixed_point_solve(p, opts)
     if opts.solver == "simplified_newton":
         return simplified_newton_solve(p, opts)
-    if opts.solver == "splitting":
-        return splitting_solve(p, data, opts)
-    raise ValueError(f"unknown solver {opts.solver!r}")
+    return splitting_solve(p, data, opts)

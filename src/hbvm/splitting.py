@@ -23,6 +23,7 @@ from .polybasis import legendre_basis
 from .tableau import det_Xs, leading_Xs
 
 __all__ = [
+    "MAX_S",
     "SplittingData",
     "d_s",
     "auxiliary_abscissae",
@@ -54,6 +55,7 @@ _AUX_ABSCISSAE = {
         0.04580307227138364391540767310611717,
         0.94225],
 }
+MAX_S = max(_AUX_ABSCISSAE)  # the largest s with abscissae: the splitting's limit
 
 # how far an L_ii may deviate from d_s before the constants count as corrupted
 _DIAG_TOL = 1e-9
@@ -78,15 +80,15 @@ class SplittingData:
 
 def d_s(s):
     """Common diagonal entry of the L factor: the s-th root of det(X_s)."""
-    if not 1 <= s <= 6:
-        raise ValueError(f"d_s tabulated/valid for 1 <= s <= 6, got {s}")
+    if not 1 <= s <= MAX_S:
+        raise ValueError(f"d_s tabulated/valid for 1 <= s <= {MAX_S}, got {s}")
     return det_Xs(s) ** (1.0 / s)
 
 
 def auxiliary_abscissae(s):
     """The tabulated auxiliary abscissae chat_1..chat_s, 2 <= s <= 6."""
     if s not in _AUX_ABSCISSAE:
-        raise ValueError(f"auxiliary abscissae available for s in [2, 6], got {s}")
+        raise ValueError(f"auxiliary abscissae available for s in [2, {MAX_S}], got {s}")
     return np.array(_AUX_ABSCISSAE[s])
 
 
@@ -116,14 +118,14 @@ def crout_lu_constant_diag(Ahat, d):
 
 
 def build_splitting(s):
-    """Assemble the SplittingData for 1 <= s <= 6.
+    """Assemble the SplittingData for 1 <= s <= MAX_S.
 
     s = 1 is the degenerate case (Ahat = L = X_1 = [[1/2]], U = [[1]]): any
     abscissa gives Phat = [[1]], and chat = [1] is used; it lets HBVM(k,1)
     flow through the same solver code path.
     """
-    if not 1 <= s <= 6:
-        raise ValueError(f"splitting available for 1 <= s <= 6, got {s}")
+    if not 1 <= s <= MAX_S:
+        raise ValueError(f"splitting available for 1 <= s <= {MAX_S}, got {s}")
     chat = np.array([1.0]) if s == 1 else auxiliary_abscissae(s)
     Phat = legendre_basis(chat, s)
     Xs = leading_Xs(s)

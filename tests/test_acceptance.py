@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hbvm.cli import main as cli_main
-from hbvm.convergence import averaged_factors, rho_star, rho_tilde
+from hbvm.convergence import amplification_report
 from hbvm.hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
 from hbvm.integrator import (
     RunConfig,
@@ -91,9 +91,9 @@ def test_02_asymptotic_amplification(report):
         worst = 0.0
         for s in range(2, 7):
             data = build_splitting(s)
-            star, _ = rho_star(data)
-            worst = max(worst, abs(star - ASYMPTOTIC[s][0]),
-                        abs(rho_tilde(data) - ASYMPTOTIC[s][1]))
+            rep = amplification_report(data, mus=())
+            worst = max(worst, abs(rep.rho_star - ASYMPTOTIC[s][0]),
+                        abs(rep.rho_tilde - ASYMPTOTIC[s][1]))
         return worst
     worst, dt = _timed(check)
     report(2, "asymptotic amplification factors", worst < 5e-4,
@@ -105,8 +105,7 @@ def test_03_averaged_amplification(report):
         worst = 0.0
         for s in range(2, 7):
             data = build_splitting(s)
-            for mu in (1, 2, 3):
-                got = averaged_factors(data, mu)
+            for mu, *got in amplification_report(data, mus=(1, 2, 3)).averaged:
                 for g, e in zip(got, AVERAGED[s][mu]):
                     if e == 0.0:
                         if g > 1e-12:

@@ -252,10 +252,28 @@ def test_sweep_rejects_a_key_given_twice_in_one_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad_block,message", [
+    ("k = 2.5\nh = 0.1\n", "sweep spec key 'k' at line 2: '2.5' is not an int"),
+    ("k = 4\nh =\n", "sweep spec key 'h' at line 3: '' is not a float"),
+    ("h = 0.1\nmu = two\n", "sweep spec key 'mu' at line 3: 'two' is not an int"),
+    ("solvr = fixed-point\nh = 0.1\nmax_outr = 1\n",
+     "unknown sweep spec key 'solvr' at line 2, 'max_outr' at line 4"),
+])
+def test_sweep_names_the_key_value_and_line_it_cannot_read(tmp_path, capsys, bad_block,
+                                                           message):
+    spec = tmp_path / "bad.txt"
+    spec.write_text("[run]\n" + bad_block)
+    code, out, err = run_cli(capsys, "sweep", str(spec))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: " + message
+
+
+@pytest.mark.parametrize("bad_block,message", [
     ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1"),
     ("omega = -1\nh = 0.1\n", "omega must be positive"),
     ("solver = composition6\nh = -0.1\n", "require h > 0 and t_end > 0"),
     ("h = 0.1\nt_end = inf\n", "t_end = inf"),
+    ("k = 8\ns = 7\nh = 0.1\n", "the splitting requires s <= 6, got s = 7"),
+    ("k = 60\nh = 0.1\n", "require k <= 50, got k = 60"),
 ])
 def test_sweep_checks_every_run_before_the_first_starts(tmp_path, capsys, monkeypatch,
                                                         bad_block, message):
@@ -327,7 +345,7 @@ def test_integrate_and_sweep_default_to_solve_options():
     args = build_parser().parse_args(["integrate", "--problem", "harmonic",
                                       "--h", "0.1", "--t-end", "1"])
     assert _solve_options(args) == SolveOptions()
-    assert _solve_options(_sweep_args({"h": "0.1"})) == SolveOptions()
+    assert _solve_options(_sweep_args({"h": ("0.1", 2)})) == SolveOptions()
 
 
 def test_integrate_unwritable_out_exits_3(tmp_path, capsys):

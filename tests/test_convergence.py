@@ -10,14 +10,12 @@ from scipy.optimize import minimize_scalar
 
 import hbvm.convergence as convergence
 from hbvm.convergence import (
+    _BLOCK,
+    _GRID,
     _averaged_norm,
     _golden_max,
     amplification_report,
-    averaged_factors,
     iteration_matrix,
-    rho_inf,
-    rho_star,
-    rho_tilde,
     spectral_radius,
 )
 
@@ -88,32 +86,34 @@ def test_spectral_radius_companion():
 
 @pytest.mark.parametrize("s", range(2, 7))
 def test_rho_star_matches_table2(s, splittings):
-    star, xstar = rho_star(splittings[s])
+    rep = amplification_report(splittings[s], mus=())
+    star, xstar = rep.rho_star, rep.x_star
     assert star == pytest.approx(TABLE2[s][0], abs=5e-4)
     assert xstar > 0
 
 
 @pytest.mark.parametrize("s", range(2, 7))
 def test_rho_tilde_matches_table2(s, splittings):
-    assert rho_tilde(splittings[s]) == pytest.approx(TABLE2[s][1], abs=5e-4)
+    rep = amplification_report(splittings[s], mus=())
+    assert rep.rho_tilde == pytest.approx(TABLE2[s][1], abs=5e-4)
 
 
 def test_rho_tilde_small_q_expansion(splittings):
     data = splittings[4]
     x = 1e-6
     r = spectral_radius(iteration_matrix(1j * x, data))
-    assert abs(r / x - rho_tilde(data)) < 1e-4
+    assert abs(r / x - amplification_report(data, mus=()).rho_tilde) < 1e-4
 
 
 @pytest.mark.parametrize("s", range(2, 7))
 def test_rho_inf_vanishes(s, splittings):
-    assert rho_inf(splittings[s]) < 1e-12
+    assert amplification_report(splittings[s], mus=()).rho_inf < 1e-12
 
 
 @pytest.mark.parametrize("s", range(2, 7))
 @pytest.mark.parametrize("mu", [1, 2, 3])
 def test_averaged_factors_match_table3(s, mu, splittings):
-    got = averaged_factors(splittings[s], mu)
+    _, *got = amplification_report(splittings[s], mus=(mu,)).averaged[0]
     exp = TABLE3[s][mu]
     for g, e in zip(got, exp):
         if e == 0.0:
@@ -123,26 +123,25 @@ def test_averaged_factors_match_table3(s, mu, splittings):
 
 
 def test_averaged_stiff_factor_zero_for_mu_ge_s(splittings):
-    _, _, stiff = averaged_factors(splittings[2], 2)
+    stiff = amplification_report(splittings[2], mus=(2,)).averaged[0][3]
     assert stiff < 1e-12
 
 
 @pytest.mark.parametrize("s", range(2, 7))
 def test_a_convergence(s, splittings):
-    star, _ = rho_star(splittings[s])
+    star = amplification_report(splittings[s], mus=()).rho_star
     assert star < 1.0
 
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_averaged_converges_to_asymptotic(s, splittings):
-    star, _ = rho_star(splittings[s])
-    star64, _, _ = averaged_factors(splittings[s], 64)
+    rep = amplification_report(splittings[s], mus=(64,))
+    star, star64 = rep.rho_star, rep.averaged[0][1]
     assert abs(star64 - star) < 5e-3
 
 
 def test_s6_needs_three_inner_iterations(splittings):
-    star1, _, _ = averaged_factors(splittings[6], 1)
-    star3, _, _ = averaged_factors(splittings[6], 3)
+    star1, star3 = (a[1] for a in amplification_report(splittings[6], mus=(1, 3)).averaged)
     assert star1 > 1.0
     assert star3 < 1.0
 
@@ -163,6 +162,28 @@ def test_report_assembles(splittings):
     assert [mu for mu, *_ in rep.averaged] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("mus", [(), (1, 2, 3), tuple(range(1, 8))])
+def test_report_evaluates_each_grid_block_once(mus, splittings, monkeypatch):
+    # rho* and every rho*_mu come from one scan: one Z stack per grid block,
+    # whatever mus is; the golden refinements evaluate single points
+    sizes = []
+
+    def counting(q, data):
+        sizes.append(np.size(q))
+        return iteration_matrix(q, data)
+
+    monkeypatch.setattr(convergence, "iteration_matrix", counting)
+    amplification_report(splittings[3], mus=mus)
+    assert sizes.count(_BLOCK) == len(_GRID) // _BLOCK
+    assert set(sizes) == {_BLOCK, 1}
+
+
+def test_report_rejects_mu_below_one_before_scanning(splittings, monkeypatch):
+    monkeypatch.setattr(convergence, "iteration_matrix", None)  # must not be called
+    with pytest.raises(ValueError, match="mu must be positive, got 0"):
+        amplification_report(splittings[3], mus=(1, 0))
+
+
 def _scipy_golden_max(f, lo, mid, hi, xtol):
     res = minimize_scalar(lambda x: -f(x), bracket=(lo, mid, hi), method="golden",
                           options={"xtol": xtol})
@@ -181,9 +202,7 @@ def test_golden_max_is_scipys_golden_on_every_axis_refinement(s, splittings, mon
         return got
 
     monkeypatch.setattr(convergence, "_golden_max", recording)
-    rho_star(splittings[s])
-    for mu in range(1, 8):
-        averaged_factors(splittings[s], mu)
+    amplification_report(splittings[s], mus=tuple(range(1, 8)))
     # at s = 4, rho*_1 is the stiff limit, reached at the end of the grid,
     # so there is nothing to refine
     assert len(calls) == (7 if s == 4 else 8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hbvm.hamiltonian import (
+    HamiltonianSystem,
     charged_particle,
     fpu_modified,
     harmonic_oscillator,
@@ -65,12 +66,41 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  id="composition6-store_every-negative"),
     pytest.param(lambda: harmonic_oscillator(np.nan), "omega = nan", id="harmonic-omega-nan"),
     pytest.param(lambda: harmonic_oscillator(np.inf), "omega = inf", id="harmonic-omega-inf"),
+    pytest.param(lambda: RunConfig(_harmonic, 60, 2, 0.1, 1.0), "^require k <= 50, got k = 60$",
+                 id="run-k-above-max-nodes"),
+    pytest.param(lambda: RunConfig(_harmonic, 8, 7, 0.1, 1.0),
+                 "^the splitting requires s <= 6, got s = 7$", id="run-splitting-s-7"),
+    pytest.param(lambda: SolveOptions(solver="nope"),
+                 "^unknown solver 'nope'; expected one of fixed_point, simplified_newton, "
+                 "splitting$", id="options-solver-unknown"),
 ])
 def test_nonfinite_and_negative_run_parameters_are_named(make, message):
     # NaN passes every `x <= 0` test and inf overflows the step count, so
     # both are rejected up front, with the parameter in the message
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton"])
+def test_solvers_without_the_splitting_accept_s_7(solver):
+    # only the splitting needs abscissae, which are tabulated up to s = 6
+    cfg = RunConfig(_harmonic, 8, 7, 0.1, 0.2, SolveOptions(solver=solver))
+    assert integrate(cfg)[1].all_converged
+
+
+def test_singular_step_matrix_ends_the_step_before_it_iterates():
+    # H = (p^2 - q^2) / 2, HBVM(2,1), the splitting at h = 2: c = h d_1 = 1,
+    # so S = 1 + c^2 V'' = 0; the step fails as data, without a warning
+    saddle = HamiltonianSystem(m=1, H=lambda y: 0.5 * (y[1] ** 2 - y[0] ** 2),
+                               grad=lambda y: np.array([-y[0], y[1]]),
+                               hess=lambda y: np.diag([-1.0, 1.0]),
+                               y0=np.array([1.0, 0.0]), label="saddle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, stats = integrate(RunConfig(saddle, 2, 1, 2.0, 2.0))
+    assert (stats.steps, stats.total_outer_iterations, stats.factorizations) == (0, 0, 1)
+    assert not stats.all_converged and stats.failed_at == 0.0
+    assert np.array_equal(traj.states, [saddle.y0])
 
 
 def test_step_count_and_grid():

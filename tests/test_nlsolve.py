@@ -151,15 +151,13 @@ def test_complex_lu_solve_matches_scipy_and_passes_nonfinite_through():
     assert not np.all(np.isfinite(solve_lu(fac, b)))
 
 
-def test_singular_factor_warns_in_both_storages():
-    # as scipy's lu_factor does; the solve then gives a non-finite x
-    from scipy.linalg import LinAlgWarning
-
+def test_singular_factor_raises_in_both_storages():
+    # where scipy's lu_factor only warns and its factors then give a
+    # non-finite solve; step_factors turns the error into no factors
     S = np.diag([1.0, 0.0, 2.0, 3.0, 4.0])
     for fac in (lambda: factor_lu(S), lambda: factor_lu(_band_of(S, 1, 1), (1, 1))):
-        with pytest.warns(LinAlgWarning, match="Singular"):
-            lu = fac()
-        assert not np.all(np.isfinite(solve_lu(lu, np.ones(5))))
+        with pytest.raises(np.linalg.LinAlgError, match="Diagonal number 2 is exactly zero"):
+            fac()
 
 
 def test_complex_band_factor_and_solve_are_scipys_zgbtrf_and_zgbtrs():
@@ -478,6 +476,20 @@ def test_step_factors_of_a_nonfinite_hessian_are_empty(monkeypatch, system):
         bad = hess0.copy()
         bad[0, 0] = value
         assert step_factors(bad, [0.05, 0.05 + 0.01j]) == []
+
+
+def test_step_factors_with_a_singular_shift_are_empty(monkeypatch):
+    # c = 1 makes I - c B exactly singular for a separable hess0 (S = 1 + c^2
+    # V'' = 0) and a dense one (B = J hess0 = diag(1, -1)); the shift after it
+    # is still factored, so the step counts both LUs, and neither is returned
+    import hbvm.nlsolve
+
+    made, real_lu_factor = [], hbvm.nlsolve.lu_factor
+    monkeypatch.setattr(hbvm.nlsolve, "lu_factor",
+                        lambda a, *args: made.append(a) or real_lu_factor(a, *args))
+    for hess0 in (np.diag([-1.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        assert step_factors(hess0, [1.0, 0.5]) == []
+    assert len(made) == 4
 
 
 def _hess_at_y0(system):

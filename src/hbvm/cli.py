@@ -14,7 +14,7 @@ import numpy as np
 
 from .convergence import amplification_report
 from .hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
-from .integrator import RunConfig, _check_run, composition6_stormer_verlet, integrate
+from .integrator import RunConfig, composition6_run, integrate
 from .nlsolve import SolveOptions
 from .splitting import build_splitting, verify_conditions
 from .tableau import build_tableau
@@ -25,14 +25,21 @@ PROBLEMS = {
     "harmonic": harmonic_oscillator,
 }
 
-SOLVERS = ("fixed-point", "simplified-newton", "splitting", "composition6")
-_DEFAULT_SOLVER = SolveOptions.solver.replace("_", "-")
-
-# sweep spec key -> (parser, default); h has no default
-_SWEEP_KEYS = {"problem": (str, "harmonic"), "k": (int, 2), "s": (int, 2), "h": (float, None),
-               "t_end": (float, 10.0), "solver": (str, _DEFAULT_SOLVER),
-               "mu": (int, SolveOptions.mu), "tol": (float, SolveOptions.tol),
-               "max_outer": (int, SolveOptions.max_outer), "omega": (float, 1.0)}
+# run parameter (integrate dest, sweep spec key) -> (integrate flag, parser, default,
+# valid values or None, integrate requires it); h has no default, a sweep requires only h
+_RUN_PARAMS = {
+    "problem": ("--problem", str, "harmonic", sorted(PROBLEMS), True),
+    "k": ("-k", int, 2, None, False),
+    "s": ("-s", int, 2, None, False),
+    "h": ("--h", float, None, None, True),
+    "t_end": ("--t-end", float, 10.0, None, True),
+    "solver": ("--solver", str, SolveOptions.solver.replace("_", "-"),
+               ("fixed-point", "simplified-newton", "splitting", "composition6"), False),
+    "mu": ("--mu", int, SolveOptions.mu, None, False),
+    "tol": ("--tol", float, SolveOptions.tol, None, False),
+    "max_outer": ("--max-outer", int, SolveOptions.max_outer, None, False),
+    "omega": ("--omega", float, 1.0, None, False),
+}
 
 STATS_HEADER = ("method,k,s,h,t_end,solver,mu,tol,steps,outer_iters,"
                 "inner_iters,ham_err,sol_err,converged")
@@ -136,9 +143,7 @@ def _plan(args):
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
     if args.solver == "composition6":
-        _check_run(args.h, args.t_end, args.every)
-        return system, lambda: composition6_stormer_verlet(
-            system, args.h, args.t_end, store_every=args.every)
+        return system, composition6_run(system, args.h, args.t_end, args.every)
     cfg = RunConfig(system=system, k=args.k, s=args.s, h=args.h,
                     t_end=args.t_end, options=_solve_options(args),
                     store_every=args.every)
@@ -164,7 +169,7 @@ def cmd_integrate(args):
 
 
 def _parse_sweep_spec(text):
-    """Flat [run] blocks of key=value lines, each a dict key -> (value, line)."""
+    """Flat [run] blocks, each (header line, key -> (value, line) of its key=value lines)."""
     runs, cur = [], None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -172,7 +177,7 @@ def _parse_sweep_spec(text):
             continue
         if line == "[run]":
             cur = {}
-            runs.append(cur)
+            runs.append((ln, cur))
             continue
         if cur is None or "=" not in line:
             raise ValueError(f"malformed sweep spec at line {ln}: {raw!r}")
@@ -186,8 +191,7 @@ def _parse_sweep_spec(text):
 
 def cmd_sweep(args):
     """One stats row per [run] block. Every block is checked before the first
-    run starts, except that a composition6 run on a non-separable problem
-    fails only when it starts; either way the sweep exits 2 with no rows."""
+    run starts; an error exits 2 with no rows."""
     try:
         with open(args.spec) as f:
             text = f.read()
@@ -195,38 +199,48 @@ def cmd_sweep(args):
         print(f"error: cannot read spec: {e}", file=sys.stderr)
         return 3
     try:
-        configs = [_sweep_args(r) for r in _parse_sweep_spec(text)]
-        runs = [_plan(cfg)[1] for cfg in configs]
+        planned = [_sweep_run(ln, block) for ln, block in _parse_sweep_spec(text)]
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    rows = [_stats_row(cfg, run()[1]) for cfg, run in zip(configs, runs)]
+    rows = [_stats_row(cfg, run()[1]) for cfg, run in planned]
     _write(args.out, STATS_HEADER + "\n" + _rows_to_csv(rows))
     return 0
 
 
+def _sweep_run(ln, block):
+    """(args, run) of the [run] block whose header is at line ln. An error
+    that names no line of its own, the missing h or any of _plan's, names ln."""
+    args = _sweep_args(block)
+    try:
+        if args.h is None:
+            raise ValueError("missing required sweep spec key 'h'")
+        return args, _plan(args)[1]
+    except ValueError as e:
+        raise ValueError(f"sweep spec [run] block at line {ln}: {e}") from None
+
+
 def _sweep_args(run):
     """The argparse.Namespace of one [run] block; a ValueError names each
-    unknown key, or the first value that does not parse, with its line."""
-    unknown = sorted(set(run) - set(_SWEEP_KEYS), key=lambda key: run[key][1])
+    unknown key, or the first value that does not parse, or else the first
+    that is not valid, with its line."""
+    unknown = sorted(set(run) - set(_RUN_PARAMS), key=lambda key: run[key][1])
     if unknown:
         raise ValueError("unknown sweep spec key " + ", ".join(
             f"{key!r} at line {run[key][1]}" for key in unknown))
-    if "h" not in run:
-        raise ValueError("missing required sweep spec key 'h'")
-    ns = argparse.Namespace(every=0, out=None, **{k: d for k, (_, d) in _SWEEP_KEYS.items()})
+    ns = argparse.Namespace(every=0, out=None, **{k: p[2] for k, p in _RUN_PARAMS.items()})
     for key, (val, ln) in run.items():
-        parse = _SWEEP_KEYS[key][0]
+        parse = _RUN_PARAMS[key][1]
         try:
             setattr(ns, key, parse(val))
         except ValueError:
             raise ValueError(f"sweep spec key {key!r} at line {ln}: {val!r} is not "
                              f"{'an int' if parse is int else 'a float'}") from None
-    if ns.problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {ns.problem!r}")
-    if ns.solver not in SOLVERS:
-        raise ValueError(f"unknown solver {ns.solver!r}")
+    for key, (val, ln) in run.items():
+        valid = _RUN_PARAMS[key][3]
+        if valid is not None and getattr(ns, key) not in valid:
+            raise ValueError(f"sweep spec key {key!r} at line {ln}: unknown {key} {val!r}")
     return ns
 
 
@@ -256,16 +270,8 @@ def build_parser():
 
     it = sub.add_parser("integrate", help="integrate one problem, write trajectory "
                                           "CSV and print a stats row")
-    it.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
-    it.add_argument("-k", type=int, default=2)
-    it.add_argument("-s", type=int, default=2)
-    it.add_argument("--h", type=float, required=True)
-    it.add_argument("--t-end", type=float, required=True)
-    it.add_argument("--solver", choices=SOLVERS, default=_DEFAULT_SOLVER)
-    it.add_argument("--mu", type=int, default=SolveOptions.mu)
-    it.add_argument("--tol", type=float, default=SolveOptions.tol)
-    it.add_argument("--max-outer", type=int, default=SolveOptions.max_outer)
-    it.add_argument("--omega", type=float, default=1.0)
+    for flag, parse, default, valid, required in _RUN_PARAMS.values():
+        it.add_argument(flag, type=parse, default=default, choices=valid, required=required)
     it.add_argument("--every", type=int, default=1,
                     help="store every N-th state (0: endpoints only); stats always "
                          "use full resolution")

@@ -184,6 +184,11 @@ def composition6_stormer_verlet(system, h, t_end, store_every=1):
     step, 2 force evaluations each, 18 per step. Divergence (state norm above
     1e10) marks the run and ends it at the last finite state.
     """
+    return composition6_run(system, h, t_end, store_every)()
+
+
+def composition6_run(system, h, t_end, store_every):
+    """composition6_stormer_verlet's checks, made now, and its run() -> (traj, stats)."""
     _check_run(h, t_end, store_every)
     m = system.m
     if not separable_hessian(system.hess(np.asarray(system.y0, dtype=float))):
@@ -211,5 +216,5 @@ def composition6_stormer_verlet(system, h, t_end, store_every=1):
                 return None
         return y
 
-    return _march(system, h, t_end, store_every, advance,
-                  RunStats(hessian_evaluations=1))
+    return lambda: _march(system, h, t_end, store_every, advance,
+                          RunStats(hessian_evaluations=1))

@@ -88,8 +88,9 @@ class StageProblem:
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"stepsize must be positive, got {self.h}")
+        # the methods are symmetric: a step of -h is as valid as one of h
+        if not 0 < abs(self.h) < np.inf:
+            raise ValueError(f"require a finite nonzero h, got h = {self.h}")
         if len(self.y0_step) != self.system.dim:
             raise ValueError("state dimension mismatch")
 

@@ -20,7 +20,6 @@ MAX_NODES = 50
 class QuadratureRule:
     """Gaussian nodes/weights on [0,1]. Nodes are the k roots of P_k."""
 
-    k: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -110,4 +109,4 @@ def gauss_rule(k):
     # enforce the exact symmetry of the rule to kill residual Newton noise
     c = 0.5 * (c + (1.0 - c[::-1]))
     w = 0.5 * (w + w[::-1])
-    return QuadratureRule(k=k, nodes=c, weights=w)
+    return QuadratureRule(nodes=c, weights=w)

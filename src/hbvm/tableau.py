@@ -43,8 +43,6 @@ class HbvmTableau:
     s: int
     rule: QuadratureRule
     A: np.ndarray      # k x k
-    Ps: np.ndarray     # k x s
-    Ps1: np.ndarray    # k x (s+1)
     Xhat: np.ndarray   # (s+1) x s
     W: np.ndarray      # k x s, P_{s+1} Xhat: stage values from gamma
     M: np.ndarray      # s x k, P_s^T Omega: gamma from stage slopes
@@ -111,5 +109,4 @@ def build_tableau(k, s):
     W = Ps1 @ Xhat
     A = (W @ Ps.T) * rule.weights  # == W @ Ps.T @ Omega
     M = Ps.T * rule.weights        # == Ps.T @ Omega
-    return HbvmTableau(k=k, s=s, rule=rule, A=A, Ps=Ps, Ps1=Ps1, Xhat=Xhat,
-                       W=W, M=M, eig=xs_eigen(s))
+    return HbvmTableau(k=k, s=s, rule=rule, A=A, Xhat=Xhat, W=W, M=M, eig=xs_eigen(s))

@@ -236,7 +236,8 @@ def test_sweep_names_a_missing_step_size(tmp_path, capsys):
     spec.write_text("[run]\nk = 2\n")
     code, out, err = run_cli(capsys, "sweep", str(spec))
     assert code == 2
-    assert err.strip() == "error: missing required sweep spec key 'h'"
+    assert err.strip() == ("error: sweep spec [run] block at line 1: "
+                           "missing required sweep spec key 'h'")
     assert out == ""
 
 
@@ -274,6 +275,10 @@ def test_sweep_names_the_key_value_and_line_it_cannot_read(tmp_path, capsys, bad
     ("h = 0.1\nt_end = inf\n", "t_end = inf"),
     ("k = 8\ns = 7\nh = 0.1\n", "the splitting requires s <= 6, got s = 7"),
     ("k = 60\nh = 0.1\n", "require k <= 50, got k = 60"),
+    ("problem = charged-particle\nsolver = composition6\nh = 0.1\n",
+     "block at line 5: composition method requires a separable Hamiltonian"),
+    ("omega = -1\nh = 0.1\n", "error: sweep spec [run] block at line 5: "
+                              "omega must be positive and finite, got omega = -1.0\n"),
 ])
 def test_sweep_checks_every_run_before_the_first_starts(tmp_path, capsys, monkeypatch,
                                                         bad_block, message):

@@ -1,11 +1,29 @@
-"""The narrative demos run to the end, in process, with stdout captured."""
+"""The narrative demos run to the end, in process, with stdout captured, and
+the package root offers exactly the entry points the demos, the README and the
+benchmark import from it."""
 import runpy
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+ENTRY_POINTS = [
+    "HamiltonianSystem", "RunConfig", "SolveOptions", "StageProblem", "amplification_report",
+    "build_splitting", "build_tableau", "charged_particle", "composition6_stormer_verlet",
+    "fpu_modified", "gauss_rule", "harmonic_oscillator", "integrate", "verify_conditions",
+]
+
+
+def test_package_root_exports_the_entry_points():
+    import hbvm
+
+    public = sorted(name for name, value in vars(hbvm).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == ENTRY_POINTS
 
 
 def _run(monkeypatch, capsys, name, *argv):

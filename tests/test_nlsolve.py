@@ -32,6 +32,7 @@ from hbvm.nlsolve import (
     stages_from_gamma,
     step_factors,
 )
+from hbvm.polybasis import legendre_basis
 from hbvm.splitting import build_splitting
 from hbvm.tableau import build_tableau, leading_Xs
 
@@ -57,8 +58,8 @@ def linear_stage_oracle(p):
     solved densely via vec().
     """
     t = p.tableau
-    W = t.Ps1 @ t.Xhat
-    M = t.Ps.T * t.rule.weights
+    W = legendre_basis(t.c, t.s + 1) @ t.Xhat
+    M = legendre_basis(t.c, t.s).T * t.rule.weights
     Q = p.system.hess(p.y0_step)
     n = p.system.dim
     JQ = np.vstack([Q[n // 2:], -Q[:n // 2]])
@@ -89,15 +90,16 @@ def test_residual_with_stacked_grad_matches_per_row_fallback(make, k, s, h):
 
 def test_stage_maps_are_cached_on_the_tableau():
     t = build_tableau(6, 3)
-    assert np.array_equal(t.W, t.Ps1 @ t.Xhat)
-    assert np.array_equal(t.M, t.Ps.T * t.rule.weights)
-    assert np.array_equal(t.A, t.Ps1 @ t.Xhat @ t.Ps.T @ np.diag(t.b))
+    Ps, Ps1 = legendre_basis(t.c, 3), legendre_basis(t.c, 4)
+    assert np.array_equal(t.W, Ps1 @ t.Xhat)
+    assert np.array_equal(t.M, Ps.T * t.rule.weights)
+    assert np.array_equal(t.A, Ps1 @ t.Xhat @ Ps.T @ np.diag(t.b))
     # A scales the columns of W P_s^T by the weights: the product with
     # diag(b) in every value and sign bit
     for k in range(1, 21):
         for s in range(1, k + 1):
             t = build_tableau(k, s)
-            ref = t.W @ t.Ps.T @ np.diag(t.b)
+            ref = t.W @ legendre_basis(t.c, s).T @ np.diag(t.b)
             assert np.array_equal(t.A.view(np.uint64), ref.view(np.uint64)), (k, s)
 
 
@@ -297,8 +299,10 @@ def test_newton_factors_ceil_half_s_blocks_per_step(s):
 def test_stage_problem_validation():
     sysm = harmonic_oscillator()
     tab = build_tableau(2, 2)
-    with pytest.raises(ValueError):
-        StageProblem(tab, sysm, sysm.y0, -0.1)
+    for h in (0.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="require a finite nonzero h, got h = "):
+            StageProblem(tab, sysm, sysm.y0, h)
+    assert StageProblem(tab, sysm, sysm.y0, -0.1).h == -0.1  # the methods are symmetric
     with pytest.raises(ValueError):
         StageProblem(tab, sysm, np.zeros(5), 0.1)
 
@@ -316,7 +320,7 @@ def test_stages_are_affine_in_gamma():
     p = _problem(harmonic_oscillator(), 4, 2, 0.05)
     g = np.arange(4.0).reshape(2, 2)
     Y = stages_from_gamma(p, g)
-    W = p.tableau.Ps1 @ p.tableau.Xhat
+    W = legendre_basis(p.tableau.c, 3) @ p.tableau.Xhat
     assert Y == pytest.approx(p.y0_step + p.h * (W @ g))
 
 

@@ -107,8 +107,8 @@ def test_legendre_basis_columns_are_legendre_eval(r):
 @pytest.mark.parametrize("s", range(1, 7))
 def test_tableau_and_splitting_share_the_legendre_basis(s):
     tab, data = build_tableau(s + 2, s), build_splitting(s)
-    assert np.array_equal(tab.Ps, legendre_basis(tab.c, s))
-    assert np.array_equal(tab.Ps1, legendre_basis(tab.c, s + 1))
+    assert np.array_equal(tab.M, legendre_basis(tab.c, s).T * tab.b)
+    assert np.array_equal(tab.W, legendre_basis(tab.c, s + 1) @ tab.Xhat)
     assert np.array_equal(data.Phat, legendre_basis(data.chat, s))
 
 

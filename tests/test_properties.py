@@ -7,14 +7,30 @@ stage equations. Each example draws m and a seed; the seed fixes K (positive
 definite) and the quartic directions s_j. The non-separable
 H = y^T K y/2 + sum_j (a_j^T y)^nu/nu, with a_j mixing q and p, takes the
 dense step factor, for several (k, s) and nu = floor(2k/s).
+
+The methods are symmetric: a step of h and then one of -h returns the start,
+for every solver, on the shipped problems.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbvm.hamiltonian import HamiltonianSystem, separable_hessian
+from hbvm.hamiltonian import (
+    HamiltonianSystem,
+    charged_particle,
+    fpu_modified,
+    harmonic_oscillator,
+    separable_hessian,
+)
 from hbvm.integrator import RunConfig, integrate
-from hbvm.nlsolve import SolveOptions, StageProblem, simplified_newton_solve, splitting_solve
+from hbvm.nlsolve import (
+    SolveOptions,
+    StageProblem,
+    simplified_newton_solve,
+    solve,
+    splitting_solve,
+)
 from hbvm.splitting import build_splitting
 from hbvm.tableau import build_tableau
 
@@ -100,3 +116,30 @@ def test_hbvm_conserves_random_nonseparable_polynomial_energy(m, seed, ks):
                                    options=SolveOptions(solver="splitting"), store_every=0))
     assert stats.all_converged and stats.steps == 5
     assert stats.max_hamiltonian_error <= 1e-10 * abs(sysm.H(sysm.y0))
+
+
+# fixed point does not converge on the stiff chain above h = 1e-3
+SYMMETRY_CASES = [
+    pytest.param(make, solver, k, s, h, id=f"{make.__name__}-{solver}-hbvm{k},{s}-h{h}")
+    for make in (charged_particle, fpu_modified, harmonic_oscillator)
+    for solver in ("fixed_point", "simplified_newton", "splitting")
+    for k, s in ((2, 1), (4, 2), (6, 3), (10, 2))
+    for h in (0.1, 0.01)
+    if not (make is fpu_modified and solver == "fixed_point" and h > 1e-3)
+]
+
+
+@pytest.mark.parametrize("make,solver,k,s,h", SYMMETRY_CASES)
+def test_a_step_of_h_then_of_minus_h_returns_the_start(make, solver, k, s, h):
+    sysm, tab = make(), build_tableau(k, s)
+    opts = SolveOptions(solver=solver)
+    data = build_splitting(s) if solver == "splitting" else None
+
+    def step(y, h):
+        res = solve(StageProblem(tab, sysm, y, h), opts, data=data)
+        assert res.converged
+        return y + h * res.gamma[0]
+
+    y0 = np.asarray(sysm.y0, dtype=float)
+    back = step(step(y0, h), -h)
+    assert np.max(np.abs(back - y0)) <= 1e-12 * np.max(np.abs(y0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hbvm.polybasis import gauss_rule, legendre_integral, xi
+from hbvm.polybasis import gauss_rule, legendre_basis, legendre_integral, xi
 from hbvm.tableau import build_Xhat, build_tableau, det_Xs, leading_Xs
 
 
@@ -36,7 +36,7 @@ def test_Xhat_s2_structure():
 def test_Xhat_encodes_integrals(s):
     # oracle: P_{s+1} Xhat[:, j] equals int_0^{c_i} P_j at the Gauss nodes
     tab = build_tableau(s + 2, s)
-    prod = tab.Ps1 @ tab.Xhat
+    prod = legendre_basis(tab.c, s + 1) @ tab.Xhat
     for j in range(s):
         expected = legendre_integral(j, tab.c)
         assert np.max(np.abs(prod[:, j] - expected)) < 1e-13
@@ -87,13 +87,14 @@ def test_k_equals_s_recovers_gauss(s):
 @pytest.mark.parametrize("k,s", [(k, s) for k in range(1, 11) for s in range(1, k + 1)])
 def test_weighted_basis_orthogonality(k, s):
     tab = build_tableau(k, s)
-    G = tab.Ps.T @ np.diag(tab.b) @ tab.Ps
+    Ps = legendre_basis(tab.c, s)
+    G = Ps.T @ np.diag(tab.b) @ Ps
     assert np.max(np.abs(G - np.eye(s))) < 1e-13
 
 
 def test_reconstruction_identity():
     tab = build_tableau(8, 3)
-    A = tab.Ps1 @ tab.Xhat @ tab.Ps.T @ np.diag(tab.b)
+    A = legendre_basis(tab.c, 4) @ tab.Xhat @ legendre_basis(tab.c, 3).T @ np.diag(tab.b)
     assert np.max(np.abs(A - tab.A)) < 1e-14
 
 

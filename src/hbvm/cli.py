@@ -71,31 +71,26 @@ def _write(path, text):
         raise SystemExit(3)
 
 
+def _sections(width, **blocks):
+    """CSV of named blocks of rows under a section,i,v1..v<width> header; the
+    rows of a block are numbered i = 1, 2, ..."""
+    rows = [["section", "i"] + [f"v{j+1}" for j in range(width)]]
+    for name, block in blocks.items():
+        rows.extend([name, i, *row] for i, row in enumerate(block, 1))
+    return _rows_to_csv(rows)
+
+
 def cmd_tableau(args):
     tab = build_tableau(args.k, args.s)
-    rows = [["section", "i"] + [f"v{j+1}" for j in range(max(args.k, args.s))]]
-    for i in range(args.k):
-        rows.append(["A", i + 1] + list(tab.A[i]))
-    rows.append(["b", 1] + list(tab.b))
-    rows.append(["c", 1] + list(tab.c))
-    for i in range(args.s + 1):
-        rows.append(["Xhat", i + 1] + list(tab.Xhat[i]))
-    _write(args.out, _rows_to_csv(rows))
+    _write(args.out, _sections(max(args.k, args.s), A=tab.A, b=[tab.b], c=[tab.c],
+                               Xhat=tab.Xhat))
     return 0
 
 
 def cmd_splitting(args):
     data = build_splitting(args.s)
-    res = verify_conditions(data)
-    rows = [["section", "i"] + [f"v{j+1}" for j in range(data.s)]]
-    rows.append(["chat", 1] + list(data.chat))
-    rows.append(["d", 1, data.d])
-    for i in range(data.s):
-        rows.append(["L", i + 1] + list(data.L[i]))
-    for i in range(data.s):
-        rows.append(["U", i + 1] + list(data.U[i]))
-    rows.append(["cond_residuals", 1] + list(res))
-    _write(args.out, _rows_to_csv(rows))
+    _write(args.out, _sections(data.s, chat=[data.chat], d=[[data.d]], L=data.L, U=data.U,
+                               cond_residuals=[verify_conditions(data)]))
     return 0
 
 
@@ -115,12 +110,18 @@ def _solve_options(args):
                         max_outer=args.max_outer)
 
 
-def _stats_row(args, stats, sol_err=None):
-    """The values of one STATS_HEADER row. composition6 has no k, s, mu or
-    tol, and _plan checks none of them for it, so its row leaves them empty;
-    a run that made no step leaves ham_err empty, as sol_err is left empty
-    when it is not computed."""
+def _stats_row(args, traj, stats):
+    """The values of the STATS_HEADER row of the run args describe, which made
+    traj and stats. composition6 has no k, s, mu or tol (_plan checks none for
+    it), so its row leaves them empty. sol_err, the error against the closed-form
+    flow at traj's last time, exists for the harmonic oscillator only; a run
+    that made no step leaves ham_err and sol_err empty."""
     is_hbvm = args.solver != "composition6"
+    sol_err = ""
+    if args.problem == "harmonic" and stats.steps:
+        t, w = traj.times[-1], args.omega
+        exact = np.array([np.cos(w * t), -w * np.sin(w * t)])
+        sol_err = float(np.linalg.norm(traj.states[-1] - exact) / (1 + np.linalg.norm(exact)))
     return [
         "hbvm" if is_hbvm else "composition6",
         *((args.k, args.s) if is_hbvm else ("", "")),
@@ -130,41 +131,32 @@ def _stats_row(args, stats, sol_err=None):
         stats.total_outer_iterations if stats.all_converged else "***",
         stats.total_inner_iterations,
         stats.max_hamiltonian_error if stats.steps else "",
-        "" if sol_err is None else sol_err,
+        sol_err,
         stats.all_converged,
     ]
 
 
 def _plan(args):
-    """(system, run): every parameter of the run args describe is checked
-    here (ValueError), and run() -> (traj, stats) then makes the run."""
+    """run() -> (traj, stats), the run args describe; every parameter of it
+    is checked here (ValueError)."""
     if args.every < 0:
         raise ValueError(f"require --every >= 0, got --every = {args.every}")
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
     if args.solver == "composition6":
-        return system, composition6_run(system, args.h, args.t_end, args.every)
+        return composition6_run(system, args.h, args.t_end, args.every)
     cfg = RunConfig(system=system, k=args.k, s=args.s, h=args.h,
                     t_end=args.t_end, options=_solve_options(args),
                     store_every=args.every)
-    return system, lambda: integrate(cfg)
+    return lambda: integrate(cfg)
 
 
 def cmd_integrate(args):
-    system, run = _plan(args)
-    traj, stats = run()
+    traj, stats = _plan(args)()
     if args.out:
-        header = "t," + ",".join(f"y{i+1}" for i in range(system.dim))
-        rows = [[t] + list(state) for t, state in zip(traj.times, traj.states)]
-        _write(args.out, header + "\n" + _rows_to_csv(rows))
-    sol_err = None
-    if args.problem == "harmonic":
-        t_fin = traj.times[-1]
-        w = args.omega
-        exact = np.array([np.cos(w * t_fin), -w * np.sin(w * t_fin)])
-        sol_err = float(np.linalg.norm(traj.states[-1] - exact) / (1 + np.linalg.norm(exact)))
-    row = _stats_row(args, stats, sol_err)
-    sys.stdout.write(STATS_HEADER + "\n" + _rows_to_csv([row]))
+        header = [["t"] + [f"y{i+1}" for i in range(traj.states.shape[1])]]
+        _write(args.out, _rows_to_csv(header + [[t, *y] for t, y in zip(traj.times, traj.states)]))
+    sys.stdout.write(STATS_HEADER + "\n" + _rows_to_csv([_stats_row(args, traj, stats)]))
     return 0
 
 
@@ -198,13 +190,8 @@ def cmd_sweep(args):
     except OSError as e:
         print(f"error: cannot read spec: {e}", file=sys.stderr)
         return 3
-    try:
-        planned = [_sweep_run(ln, block) for ln, block in _parse_sweep_spec(text)]
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    rows = [_stats_row(cfg, run()[1]) for cfg, run in planned]
+    planned = [_sweep_run(ln, block) for ln, block in _parse_sweep_spec(text)]
+    rows = [_stats_row(run_args, *run()) for run_args, run in planned]
     _write(args.out, STATS_HEADER + "\n" + _rows_to_csv(rows))
     return 0
 
@@ -216,7 +203,7 @@ def _sweep_run(ln, block):
     try:
         if args.h is None:
             raise ValueError("missing required sweep spec key 'h'")
-        return args, _plan(args)[1]
+        return args, _plan(args)
     except ValueError as e:
         raise ValueError(f"sweep spec [run] block at line {ln}: {e}") from None
 
@@ -253,19 +240,16 @@ def build_parser():
     t = sub.add_parser("tableau", help="dump the HBVM(k,s) Butcher tableau as CSV")
     t.add_argument("-k", type=int, required=True)
     t.add_argument("-s", type=int, required=True)
-    t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_tableau)
 
     sp = sub.add_parser("splitting", help="dump auxiliary abscissae, d_s, L, U and "
                                           "condition residuals as CSV")
     sp.add_argument("-s", type=int, required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_splitting)
 
     an = sub.add_parser("analyze", help="amplification factors per s (and per mu)")
     an.add_argument("-s", type=int, nargs="+", default=[2, 3, 4, 5, 6])
     an.add_argument("--mu", type=int, nargs="+", default=[1, 2, 3])
-    an.add_argument("--out", default=None)
     an.set_defaults(func=cmd_analyze)
 
     it = sub.add_parser("integrate", help="integrate one problem, write trajectory "
@@ -275,14 +259,14 @@ def build_parser():
     it.add_argument("--every", type=int, default=1,
                     help="store every N-th state (0: endpoints only); stats always "
                          "use full resolution")
-    it.add_argument("--out", default=None)
     it.set_defaults(func=cmd_integrate)
 
     sw = sub.add_parser("sweep", help="run all [run] blocks of a spec file, one "
                                       "stats row each")
     sw.add_argument("spec")
-    sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
+    for cmd in sub.choices.values():
+        cmd.add_argument("--out")
     return p
 
 

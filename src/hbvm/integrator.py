@@ -117,8 +117,10 @@ def integrate(cfg):
 
 def _march(system, h, t_end, store_every, advance, stats):
     """ceil(t_end / h) calls of advance from y0 (the contract is in the module
-    docstring), storing every store_every-th state (0: the endpoints only)."""
-    n_steps = int(np.ceil(t_end / h - 1e-12))
+    docstring); the trajectory holds y0, every store_every-th state (0: none)
+    and always, once, the state the run ended at."""
+    q = t_end / h  # relative slack: a quotient rounded up from N still makes N steps
+    n_steps = int(np.ceil(q - 4 * np.finfo(float).eps * q))
     y = np.array(system.y0, dtype=float)
     H0 = system.H(y)
     times, states = [0.0], [y.copy()]
@@ -135,7 +137,7 @@ def _march(system, h, t_end, store_every, advance, stats):
         if store_every and n % store_every == 0:
             times.append(n * h)
             states.append(y.copy())
-    if not store_every:
+    if times[-1] != stats.steps * h:
         times.append(stats.steps * h)
         states.append(y.copy())
     return Trajectory(np.array(times), np.array(states)), stats

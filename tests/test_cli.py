@@ -84,6 +84,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("argv,golden", [
     (["analyze"], "analyze.csv"),
     (["tableau", "-k", "6", "-s", "3"], "tableau_k6_s3.csv"),
+    (["tableau", "-k", "1", "-s", "1"], "tableau_k1_s1.csv"),
+    (["tableau", "-k", "10", "-s", "2"], "tableau_k10_s2.csv"),
+    (["splitting", "-s", "1"], "splitting_s1.csv"),
+    (["splitting", "-s", "3"], "splitting_s3.csv"),
+    (["splitting", "-s", "6"], "splitting_s6.csv"),
 ])
 def test_output_is_byte_identical_to_the_recorded_csv(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -183,6 +188,17 @@ def test_sweep_runs_all_blocks(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("hbvm,2,2")
     assert lines[2].startswith("hbvm,4,2")
+
+
+@pytest.mark.parametrize("every", ["0", "1", "3", "1000"])
+def test_integrate_and_sweep_print_the_same_row(tmp_path, capsys, every):
+    # sol_err included, measured at the run's final state whatever --every stores
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("[run]\nproblem = harmonic\nk = 4\ns = 2\nh = 0.1\nt_end = 1\n")
+    swept = run_cli(capsys, "sweep", str(spec))
+    integrated = run_cli(capsys, "integrate", *_HARMONIC, "-k", "4", "-s", "2", "--every", every)
+    assert swept == integrated
+    assert swept[1].splitlines()[1].split(",")[-2] != ""
 
 
 def test_sweep_deterministic(tmp_path, capsys):
@@ -375,6 +391,9 @@ ZERO_STEP_RUNS = [
     (["--problem", "fpu", "-k", "6", "-s", "3", "--h", "0.1", "--t-end", "1",
       "--solver", "fixed-point", "--max-outer", "1", "--every", "0"],
      "hbvm,6,3,0.10000000000000001,1,fixed-point,2,1e-13,0,***,0,,,false"),
+    (["--problem", "harmonic", "--omega", "100", "--h", "0.1", "--t-end", "1",
+      "--solver", "composition6"],
+     "composition6,,,0.10000000000000001,1,composition6,,,0,***,0,,,false"),
 ]
 
 
@@ -388,7 +407,9 @@ def test_sweep_zero_step_rows_leave_ham_err_empty(tmp_path, capsys):
     spec = tmp_path / "sweep.txt"
     spec.write_text("[run]\nproblem = fpu\nsolver = composition6\nh = 0.001\nt_end = 0.01\n\n"
                     "[run]\nproblem = fpu\nk = 6\ns = 3\nh = 0.1\nt_end = 1\n"
-                    "solver = fixed-point\nmax_outer = 1\n")
+                    "solver = fixed-point\nmax_outer = 1\n\n"
+                    "[run]\nproblem = harmonic\nomega = 100\nh = 0.1\nt_end = 1\n"
+                    "solver = composition6\n")
     code, out, _ = run_cli(capsys, "sweep", str(spec))
     assert (code, out) == (0, "".join(line + "\n" for line in
                                       [STATS_HEADER] + [row for _, row in ZERO_STEP_RUNS]))

@@ -14,6 +14,8 @@ from hbvm.hamiltonian import (
 from hbvm.integrator import (
     DIVERGENCE_THRESHOLD,
     RunConfig,
+    RunStats,
+    _march,
     composition6_stormer_verlet,
     integrate,
     order_study,
@@ -119,11 +121,40 @@ def test_store_every_zero_keeps_endpoints():
     assert traj.times[-1] == pytest.approx(1.0)
 
 
-def test_store_every_strides():
-    cfg = RunConfig(system=harmonic_oscillator(), k=2, s=2, h=0.1, t_end=1.0,
-                    store_every=5)
-    traj, _ = integrate(cfg)
-    assert traj.times == pytest.approx([0.0, 0.5, 1.0])
+@pytest.mark.parametrize("h,t_end,steps", [
+    (0.001, 32.005, 32005),  # t_end / h rounds above 32005
+    (0.01, 256.16, 25616),
+    (1.0, 1e-13, 1),  # t_end / h below an absolute 1e-12 slack
+])
+def test_step_count_is_ceil_of_t_end_over_h(h, t_end, steps):
+    traj, stats = _march(_harmonic, h, t_end, 0, lambda y, stats: y, RunStats())
+    assert stats.steps == steps
+    assert traj.times.tolist() == [0.0, steps * h]
+
+
+_STORING_RUNS = {
+    "integrate": lambda system, h, store_every, opts: integrate(
+        RunConfig(system, 2, 2, h, 1.0, options=opts, store_every=store_every)),
+    "composition6": lambda system, h, store_every, opts: composition6_stormer_verlet(
+        system, h, 1.0, store_every),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_STORING_RUNS))
+@pytest.mark.parametrize("system,store_every,opts,times", [
+    (_harmonic, 5, SolveOptions(), [0.0, 0.5, 1.0]),
+    (_harmonic, 3, SolveOptions(), [0.0, 0.3, 0.6, 0.9, 1.0]),
+    (_harmonic, 1000, SolveOptions(), [0.0, 1.0]),
+    # fails on its first step, by non-convergence or by divergence
+    (harmonic_oscillator(100.0), 0, SolveOptions(solver="fixed_point", max_outer=1), [0.0]),
+], ids=["5", "3", "1000", "zero-step"])
+def test_store_every_strides(method, system, store_every, opts, times):
+    # y0, every store_every-th state and, once, the state the run ended at
+    run = _STORING_RUNS[method]
+    traj, _ = run(system, 0.1, store_every, opts)
+    assert traj.times == pytest.approx(times)
+    assert len(traj.states) == len(times)
+    assert np.array_equal(traj.states[-1], run(system, 0.1, 1, opts)[0].states[-1])
 
 
 @pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])

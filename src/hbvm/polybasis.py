@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "legendre_eval", "legendre_basis", "legendre_integral", "gauss_rule",
-           "xi"]
+__all__ = ["QuadratureRule", "legendre_basis", "gauss_rule", "xi"]
 
 MAX_NODES = 50
 
@@ -31,55 +30,32 @@ def xi(i):
     return 1.0 / (2.0 * np.sqrt(4.0 * i * i - 1.0))
 
 
-def _legendre_recurrence(n, t):
-    """Standard Legendre L_n(t) and L_{n-1}(t) on [-1,1], elementwise in t,
-    by the three-term recurrence (L_{-1} = 0)."""
+def _legendre(n, t):
+    """The standard Legendre L_0(t), ..., L_n(t) on [-1,1], elementwise in t,
+    by one pass of the three-term recurrence: L[..., j] = L_j(t). The extra
+    last column is L_{-1} = 0, which L[..., j - 1] reads at j = 0."""
     t = np.asarray(t, dtype=float)
-    p, pm1 = np.ones_like(t), np.zeros_like(t)
+    L = np.zeros(t.shape + (n + 2,))
+    L[..., 0] = 1.0
     for j in range(n):
-        p, pm1 = ((2 * j + 1) * t * p - j * pm1) / (j + 1), p
-    return p, pm1
+        L[..., j + 1] = ((2 * j + 1) * t * L[..., j] - j * L[..., j - 1]) / (j + 1)
+    return L[..., :n + 1]
 
 
 def _std_legendre_pair(n, t):
-    """L_n(t) and L_n'(t) at interior points |t| < 1: the derivative formula
-    (1 - t^2) L_n' = n (L_{n-1} - t L_n) divides by zero at t = +-1, so it
-    serves the Gauss nodes only."""
-    p, pm1 = _legendre_recurrence(n, t)
+    """L_n(t) and L_n'(t) at interior points |t| < 1, for n >= 1: the
+    derivative formula (1 - t^2) L_n' = n (L_{n-1} - t L_n) divides by zero at
+    t = +-1, so it serves the Gauss nodes only."""
+    L = _legendre(n, t)
+    p, pm1 = L[..., n], L[..., n - 1]
     return p, n * (pm1 - t * p) / (1.0 - t * t)
 
 
-def legendre_eval(j, x):
-    """Evaluate the orthonormal shifted Legendre polynomial P_j at x.
-
-    Works elementwise for array x. Uses the three-term recurrence of the
-    standard family followed by the sqrt(2j+1) normalization.
-    """
-    if j < 0:
-        raise ValueError(f"degree must be nonnegative, got {j}")
-    p, _ = _legendre_recurrence(j, 2.0 * np.asarray(x, dtype=float) - 1.0)
-    out = np.sqrt(2.0 * j + 1.0) * p
-    return out if out.ndim else float(out)
-
-
 def legendre_basis(x, r):
-    """The len(x) x r matrix of P_j(x_i), j = 0..r-1 (P_s, P_{s+1}, Phat)."""
-    return np.column_stack([legendre_eval(j, x) for j in range(r)])
-
-
-def legendre_integral(j, c):
-    """Integral of P_j over [0, c].
-
-    Uses the exact identities
-        int_0^c P_0 = 1/2 P_0(c) + xi_1 P_1(c)   (= c)
-        int_0^c P_j = xi_{j+1} P_{j+1}(c) - xi_j P_{j-1}(c),   j >= 1,
-    which are the relations generating the tableau matrix Xhat.
-    """
-    if j < 0:
-        raise ValueError(f"degree must be nonnegative, got {j}")
-    if j == 0:
-        return 0.5 * legendre_eval(0, c) + xi(1) * legendre_eval(1, c)
-    return xi(j + 1) * legendre_eval(j + 1, c) - xi(j) * legendre_eval(j - 1, c)
+    """The len(x) x r matrix of P_j(x_i), j = 0..r-1 (P_s, P_{s+1}, Phat):
+    column j is sqrt(2j+1) L_j(2x-1)."""
+    L = _legendre(r - 1, 2.0 * np.asarray(x, dtype=float) - 1.0)
+    return np.sqrt(2.0 * np.arange(r) + 1.0) * L
 
 
 def gauss_rule(k):

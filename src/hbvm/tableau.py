@@ -103,8 +103,8 @@ def build_tableau(k, s):
     if s < 1 or k < s:
         raise ValueError(f"require k >= s >= 1, got k={k}, s={s}")
     rule = gauss_rule(k)
-    Ps = legendre_basis(rule.nodes, s)
     Ps1 = legendre_basis(rule.nodes, s + 1)
+    Ps = Ps1[:, :s]
     Xhat = build_Xhat(s)
     W = Ps1 @ Xhat
     A = (W @ Ps.T) * rule.weights  # == W @ Ps.T @ Omega

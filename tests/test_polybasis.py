@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npl
 
-from hbvm.polybasis import gauss_rule, legendre_basis, legendre_eval, legendre_integral, xi
+from hbvm.polybasis import gauss_rule, legendre_basis
 from hbvm.splitting import build_splitting
 from hbvm.tableau import build_tableau
 
@@ -11,34 +12,21 @@ from hbvm.tableau import build_tableau
 P5_AT_03 = -3383.0 * np.sqrt(11.0) / 12500.0
 
 
+def P(j, x):
+    """P_j(x) for scalar x, from the package's basis."""
+    return legendre_basis(np.array([x]), j + 1)[0, j]
+
+
 def test_p0_is_one():
-    assert legendre_eval(0, 0.77) == 1.0
+    assert P(0, 0.77) == 1.0
 
 
 def test_p1_normalization():
-    assert legendre_eval(1, 1.0) == pytest.approx(np.sqrt(3.0), abs=1e-15)
+    assert P(1, 1.0) == pytest.approx(np.sqrt(3.0), abs=1e-15)
 
 
 def test_degree5_against_exact_gram_schmidt():
-    assert legendre_eval(5, 0.3) == pytest.approx(P5_AT_03, abs=1e-13)
-
-
-def test_integral_of_p0_over_unit_interval():
-    assert legendre_integral(0, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("j", range(1, 11))
-def test_integral_over_full_interval_vanishes(j):
-    assert abs(legendre_integral(j, 1.0)) < 1e-14
-
-
-def test_integral_p1_against_quadrature():
-    # oracle: 40-point Gauss rule on [0, 1/2] (frozen exact value: sqrt(3)*(c^2-c) at c=1/2)
-    assert legendre_integral(1, 0.5) == pytest.approx(-np.sqrt(3.0) / 4.0, abs=1e-13)
-    c = 0.37
-    rule = gauss_rule(40)
-    approx = c * np.sum(rule.weights * legendre_eval(1, c * rule.nodes))
-    assert legendre_integral(1, c) == pytest.approx(approx, abs=1e-13)
+    assert P(5, 0.3) == pytest.approx(P5_AT_03, abs=1e-13)
 
 
 def test_gauss_rule_k1_is_midpoint():
@@ -67,8 +55,8 @@ def test_nodes_are_roots_and_weights_positive(k):
     assert np.all(r.weights > 0)
     assert abs(np.sum(r.weights) - 1.0) < 1e-14
     # P_k has magnitude ~sqrt(2k+1) on [0,1]; scale the residual accordingly
-    for c in r.nodes:
-        assert abs(legendre_eval(k, c)) < 1e-12 * np.sqrt(2 * k + 1) * k
+    Pk = legendre_basis(r.nodes, k + 1)[:, k]
+    assert np.all(np.abs(Pk) < 1e-12 * np.sqrt(2 * k + 1) * k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 7, 10, 20, 50])
@@ -82,26 +70,20 @@ def test_orthonormality_under_quadrature():
         for j in range(9):
             k = max((i + j + 2 + 1) // 2, 1)
             r = gauss_rule(k)
-            val = np.sum(r.weights * legendre_eval(i, r.nodes) * legendre_eval(j, r.nodes))
+            B = legendre_basis(r.nodes, max(i, j) + 1)
+            val = np.sum(r.weights * B[:, i] * B[:, j])
             assert abs(val - (1.0 if i == j else 0.0)) < 1e-12
 
 
-def test_recurrence_integral_consistency():
-    cs = np.linspace(0.02, 0.99, 20)
-    for j in range(1, 11):
-        for c in cs:
-            lhs = legendre_integral(j, c)
-            rhs = xi(j + 1) * legendre_eval(j + 1, c) - xi(j) * legendre_eval(j - 1, c)
-            assert abs(lhs - rhs) < 1e-13
-
-
-@pytest.mark.parametrize("r", [1, 4, 7])
-def test_legendre_basis_columns_are_legendre_eval(r):
-    x = np.array([0.0, 0.13, 0.5, 0.91, 1.0])
-    P = legendre_basis(x, r)
-    assert P.shape == (len(x), r)
-    for j in range(r):
-        assert np.array_equal(P[:, j], legendre_eval(j, x))
+@pytest.mark.parametrize("r", [1, 4, 7, 30])
+def test_legendre_basis_columns_against_numpy_legval(r):
+    # oracle: numpy's Clenshaw evaluation of the Legendre series e_j at 2x - 1,
+    # scaled by sqrt(2j + 1)
+    x = np.concatenate([[0.0, 0.13, 0.5, 0.91, 1.0], np.linspace(0.013, 0.987, 41)])
+    B = legendre_basis(x, r)
+    assert B.shape == (len(x), r)
+    ref = npl.legval(2.0 * x - 1.0, np.eye(r)).T * np.sqrt(2.0 * np.arange(r) + 1.0)
+    assert np.max(np.abs(B - ref)) < 1e-13
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -117,5 +99,3 @@ def test_rejects_bad_arguments():
         gauss_rule(0)
     with pytest.raises(ValueError):
         gauss_rule(51)
-    with pytest.raises(ValueError):
-        legendre_eval(-1, 0.5)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npl
 
-from hbvm.polybasis import legendre_eval
+from hbvm.polybasis import legendre_basis
 from hbvm.splitting import (
     SplittingData,
     auxiliary_abscissae,
@@ -106,9 +107,10 @@ def test_splitting_data_invariants(s):
     assert np.all((data.chat > 0) & (data.chat <= 1))
     N = np.linalg.matrix_power(data.U - I, s)
     assert np.max(np.abs(N)) < 1e-12
-    # Phat really is the Legendre basis at the auxiliary abscissae
-    for j in range(s):
-        assert data.Phat[:, j] == pytest.approx(legendre_eval(j, data.chat))
+    # Phat really is the Legendre basis at the auxiliary abscissae (oracle:
+    # numpy's Legendre series, scaled to orthonormal on [0, 1])
+    ref = npl.legval(2.0 * data.chat - 1.0, np.eye(s)).T * np.sqrt(2.0 * np.arange(s) + 1.0)
+    assert data.Phat == pytest.approx(ref)
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -172,7 +174,7 @@ def test_verify_conditions_sensitive_to_perturbation():
     base = build_splitting(3)
     chat = base.chat.copy()
     chat[0] += 1e-3
-    Phat = np.column_stack([legendre_eval(j, chat) for j in range(3)])
+    Phat = legendre_basis(chat, 3)
     Ahat = np.linalg.solve(Phat.T, (Phat @ leading_Xs(3)).T).T
     perturbed = SplittingData(s=3, chat=chat, Phat=Phat, Ahat=Ahat,
                               L=base.L, U=base.U, d=base.d)

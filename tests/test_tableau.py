@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hbvm.polybasis import gauss_rule, legendre_basis, legendre_integral, xi
+from hbvm.polybasis import gauss_rule, legendre_basis, xi
 from hbvm.tableau import build_Xhat, build_tableau, det_Xs, leading_Xs
 
 
@@ -32,14 +32,21 @@ def test_Xhat_s2_structure():
     assert X == pytest.approx(np.array([[0.5, -xi(1)], [xi(1), 0.0], [0.0, xi(2)]]))
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 5])
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 10])
 def test_Xhat_encodes_integrals(s):
-    # oracle: P_{s+1} Xhat[:, j] equals int_0^{c_i} P_j at the Gauss nodes
+    # oracle: int_0^c P_j by the 20-point Gauss rule mapped to [0, c], exact
+    # for degree <= 39; (P_{s+1}(c) Xhat)_j must equal it at the tableau's
+    # nodes and on a grid up to c = 1, where it is delta_{j0}
     tab = build_tableau(s + 2, s)
-    prod = legendre_basis(tab.c, s + 1) @ tab.Xhat
-    for j in range(s):
-        expected = legendre_integral(j, tab.c)
-        assert np.max(np.abs(prod[:, j] - expected)) < 1e-13
+    c = np.concatenate([tab.c, np.linspace(0.02, 1.0, 50)])
+    prod = legendre_basis(c, s + 1) @ tab.Xhat
+    rule = gauss_rule(20)
+    expected = np.stack([ci * (rule.weights @ legendre_basis(ci * rule.nodes, s)) for ci in c])
+    assert np.max(np.abs(prod - expected)) < 1e-13
+    # closed forms: int_0^c P_0 = c, int_0^c P_1 = sqrt(3) (c^2 - c)
+    assert np.max(np.abs(prod[:, 0] - c)) < 1e-14
+    if s > 1:
+        assert np.max(np.abs(prod[:, 1] - np.sqrt(3.0) * (c * c - c))) < 1e-14
 
 
 def test_det_Xs_small_cases():

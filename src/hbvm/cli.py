@@ -156,7 +156,8 @@ def cmd_integrate(args):
     if args.out:
         header = [["t"] + [f"y{i+1}" for i in range(traj.states.shape[1])]]
         _write(args.out, _rows_to_csv(header + [[t, *y] for t, y in zip(traj.times, traj.states)]))
-    sys.stdout.write(STATS_HEADER + "\n" + _rows_to_csv([_stats_row(args, traj, stats)]))
+    (sys.stderr if args.out == "-" else sys.stdout).write(
+        STATS_HEADER + "\n" + _rows_to_csv([_stats_row(args, traj, stats)]))
     return 0
 
 
@@ -252,8 +253,8 @@ def build_parser():
     an.add_argument("--mu", type=int, nargs="+", default=[1, 2, 3])
     an.set_defaults(func=cmd_analyze)
 
-    it = sub.add_parser("integrate", help="integrate one problem, write trajectory "
-                                          "CSV and print a stats row")
+    it = sub.add_parser("integrate", help="integrate one problem: trajectory CSV to "
+                                          "--out, stats row to stdout (stderr with --out -)")
     for flag, parse, default, valid, required in _RUN_PARAMS.values():
         it.add_argument(flag, type=parse, default=default, choices=valid, required=required)
     it.add_argument("--every", type=int, default=1,

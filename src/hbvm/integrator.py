@@ -36,12 +36,12 @@ DIVERGENCE_THRESHOLD = 1e10
 
 def _check_run(h, t_end, store_every):
     """ValueError naming the first bad parameter of a run: h and t_end must
-    be finite and positive (NaN fails both tests), store_every >= 0."""
+    be finite and positive (NaN fails both tests), store_every an integer >= 0."""
     for name, value in (("h", h), ("t_end", t_end)):
         if not 0 < value < np.inf:
             raise ValueError(f"require h > 0 and t_end > 0, both finite; got {name} = {value}")
-    if store_every < 0:
-        raise ValueError(f"require store_every >= 0, got store_every = {store_every}")
+    if not isinstance(store_every, (int, np.integer)) or store_every < 0:
+        raise ValueError(f"require an integer store_every >= 0, got store_every = {store_every!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,9 @@ class RunConfig:
 
     def __post_init__(self):
         _check_run(self.h, self.t_end, self.store_every)
+        for name in ("k", "s"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"require an integer {name}, got {name} = {getattr(self, name)!r}")
         if self.k < self.s or self.s < 1:
             raise ValueError("require k >= s >= 1")
         if self.k > MAX_NODES:

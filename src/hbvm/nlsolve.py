@@ -79,6 +79,10 @@ __all__ = [
 
 _SOLVERS = ("fixed_point", "simplified_newton", "splitting")
 
+# _iterate's stall window (the rule of Hairer, McLachlan and Razakarivony, BIT 48,
+# 2008); without it, fixed point on the stiff chain accepts a diverging iterate
+FLOOR_WINDOW = 1e3
+
 
 @dataclass(frozen=True)
 class StageProblem:
@@ -109,8 +113,11 @@ class SolveOptions:
         if not 0 < self.tol < np.inf:
             raise ValueError(f"require a finite tol > 0, got tol = {self.tol}")
         for name in ("mu", "max_outer"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"require {name} >= 1, got {name} = {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"require an integer {name}, got {name} = {value!r}")
+            if value < 1:
+                raise ValueError(f"require {name} >= 1, got {name} = {value}")
 
 
 @dataclass
@@ -155,9 +162,10 @@ def _iterate(p, opts, step, cap):
     """The outer iteration all three solvers share.
 
     From x = 0 (an (s, 2m) array), x, delta = step(x) runs until
-    max|delta| <= tol (1 + max|x|), max|x| (NaN or inf if any entry is) stops
-    being finite, or cap iterations are spent; the SolveResult holds the final
-    x as its gamma (the splitting maps it from gammahat afterwards).
+    max|delta| <= tol (1 + max|x|), or is not below the previous max|delta|
+    and within FLOOR_WINDOW of that floor; max|x| (NaN or inf if any entry is)
+    stops being finite; or cap iterations are spent. The SolveResult holds the
+    final x as its gamma (the splitting maps it from gammahat afterwards).
     Divergence shows up as overflow before the finiteness check trips; it is
     data (a *** table entry), not an arithmetic error, and ends the step with
     converged=False. With cap 0 (no step factors: a non-finite Hessian or a
@@ -176,8 +184,9 @@ def _iterate(p, opts, step, cap):
             scale = np.abs(x).max()
             if not np.isfinite(scale):
                 return result(x, it, False, np.inf)
-            norm = float(np.abs(delta).max())
-            if norm <= opts.tol * (1.0 + scale):
+            prev, norm = norm, float(np.abs(delta).max())
+            floor = opts.tol * (1.0 + scale)
+            if norm <= floor or prev <= norm <= FLOOR_WINDOW * floor:
                 return result(x, it, True, norm)
         return result(x, cap, False, norm)
 

@@ -31,10 +31,9 @@ def xi(i):
 
 
 def _legendre(n, t):
-    """The standard Legendre L_0(t), ..., L_n(t) on [-1,1], elementwise in t,
-    by one pass of the three-term recurrence: L[..., j] = L_j(t). The extra
+    """The standard Legendre L_0(t), ..., L_n(t) on [-1,1] at the float array
+    t, by one pass of the three-term recurrence: L[..., j] = L_j(t). The extra
     last column is L_{-1} = 0, which L[..., j - 1] reads at j = 0."""
-    t = np.asarray(t, dtype=float)
     L = np.zeros(t.shape + (n + 2,))
     L[..., 0] = 1.0
     for j in range(n):
@@ -47,8 +46,7 @@ def _std_legendre_pair(n, t):
     derivative formula (1 - t^2) L_n' = n (L_{n-1} - t L_n) divides by zero at
     t = +-1, so it serves the Gauss nodes only."""
     L = _legendre(n, t)
-    p, pm1 = L[..., n], L[..., n - 1]
-    return p, n * (pm1 - t * p) / (1.0 - t * t)
+    return L[..., n], n * (L[..., n - 1] - t * L[..., n]) / (1.0 - t * t)
 
 
 def legendre_basis(x, r):
@@ -67,8 +65,7 @@ def gauss_rule(k):
     """
     if not 1 <= k <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {k}")
-    i = np.arange(1, k + 1)
-    t = np.cos(np.pi * (4 * i - 1) / (4 * k + 2))
+    t = np.cos(np.pi * (4 * np.arange(1, k + 1) - 1) / (4 * k + 2))
     for _ in range(100):
         p, dp = _std_legendre_pair(k, t)
         dt = p / dp

@@ -144,7 +144,5 @@ def verify_conditions(data):
     diagonal entries equal; all residuals are tiny for the shipped constants.
     """
     A, d = data.Ahat, data.d
-    res = []
-    for ell in range(1, data.s):
-        res.append(abs(np.linalg.det(A[: ell + 1, : ell + 1]) - d * np.linalg.det(A[:ell, :ell])))
-    return np.array(res)
+    return np.array([abs(np.linalg.det(A[:ell + 1, :ell + 1]) - d * np.linalg.det(A[:ell, :ell]))
+                     for ell in range(1, data.s)])

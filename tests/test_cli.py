@@ -123,6 +123,20 @@ def test_integrate_trajectory_file(tmp_path, capsys):
     assert float(rows[-1][0]) == pytest.approx(1.0)
 
 
+def test_integrate_trajectory_to_stdout_sends_the_stats_row_to_stderr(capsys):
+    # each stream carries one CSV table: the trajectory, then the stats row
+    code, out, err = run_cli(capsys, "integrate", "--problem", "harmonic",
+                             "--h", "0.5", "--t-end", "1", "--out", "-")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert rows[0] == ["t", "y1", "y2"]
+    assert [float(r[0]) for r in rows[1:]] == [0.0, 0.5, 1.0]
+    assert all(len(r) == 3 for r in rows)
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0] == STATS_HEADER
+    assert lines[1].startswith("hbvm,") and lines[1].endswith(",true")
+
+
 def test_integrate_usage_error(capsys):
     code, _, err = run_cli(capsys, "integrate", "--problem", "harmonic",
                            "-k", "1", "-s", "2", "--h", "0.1", "--t-end", "1.0")

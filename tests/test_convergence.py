@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import hbvm.convergence as convergence
+import hbvm.nlsolve as nlsolve
 from hbvm.convergence import (
     _BLOCK,
     _GRID,
@@ -18,6 +19,9 @@ from hbvm.convergence import (
     iteration_matrix,
     spectral_radius,
 )
+from hbvm.hamiltonian import harmonic_oscillator
+from hbvm.nlsolve import SolveOptions, StageProblem
+from hbvm.tableau import build_tableau
 
 # printed to 4 decimals; tolerance 5e-4 absorbs the rounding
 TABLE2 = {2: (0.1340, 0.0774), 3: (0.2536, 0.0870), 4: (0.3291, 0.0859),
@@ -263,3 +267,40 @@ def test_import_hbvm_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_splitting_contracts_at_the_predicted_rate(monkeypatch, splittings):
+    # one HBVM(s+2, s) step of h = x on the harmonic oscillator, a linear
+    # problem with eigenvalues +-i: the outer error contracts by Z(ix)^mu, so
+    # successive increments shrink by about rho(Z(ix))^mu. The observed rate is
+    # the median ratio over the second half of the iterations; with fewer
+    # than 8 iterations the rounding floor comes before the rate settles
+    norms = []
+    iterate = nlsolve._iterate
+
+    def recording(p, opts, step, cap):
+        def recorded(x):
+            x, delta = step(x)
+            norms.append(float(np.abs(delta).max()))
+            return x, delta
+        return iterate(p, opts, recorded, cap)
+
+    monkeypatch.setattr(nlsolve, "_iterate", recording)
+    sysm = harmonic_oscillator(1.0)
+    checked = []
+    for s in range(2, 7):
+        tab, data = build_tableau(s + 2, s), splittings[s]
+        for mu in (1, 2, 3):
+            for x in (0.05, 0.3, 1.0, 3.0, 30.0):
+                norms.clear()
+                res = nlsolve.splitting_solve(StageProblem(tab, sysm, sysm.y0, x), data,
+                                              SolveOptions(mu=mu))
+                assert res.converged and res.outer_iterations == len(norms)
+                if len(norms) < 8:
+                    continue
+                ratios = np.array(norms[1:]) / np.array(norms[:-1])
+                observed = np.median(ratios[len(ratios) // 2:])
+                predicted = spectral_radius(iteration_matrix(1j * x, data)) ** mu
+                checked.append((s, mu, x))
+                assert observed == pytest.approx(predicted, rel=0.15), (s, mu, x)
+    assert len(checked) >= 30

@@ -83,6 +83,37 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
         make()
 
 
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda: SolveOptions(mu=2.5), "^require an integer mu, got mu = 2.5$",
+                 id="options-mu"),
+    pytest.param(lambda: SolveOptions(max_outer=2.5),
+                 "^require an integer max_outer, got max_outer = 2.5$", id="options-max_outer"),
+    pytest.param(lambda: RunConfig(_harmonic, 4.0, 2, 0.1, 1.0),
+                 "^require an integer k, got k = 4.0$", id="run-k"),
+    pytest.param(lambda: RunConfig(_harmonic, 4, 2.0, 0.1, 1.0),
+                 "^require an integer s, got s = 2.0$", id="run-s"),
+    pytest.param(lambda: RunConfig(_harmonic, 4, 2, 0.1, 1.0, store_every=1.5),
+                 "^require an integer store_every >= 0, got store_every = 1.5$",
+                 id="run-store_every"),
+    pytest.param(lambda: _comp6(store_every=1.5), "got store_every = 1.5$",
+                 id="composition6-store_every"),
+])
+def test_non_integral_counts_are_rejected_by_name(make, message):
+    # a float count passed the range checks and then failed mid-run (range,
+    # np.zeros) or stored a wrong grid
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_numpy_integer_counts_are_accepted():
+    i = np.int64
+    cfg = RunConfig(_harmonic, i(4), i(2), 0.1, 0.3, SolveOptions(mu=i(2), max_outer=i(50)),
+                    store_every=i(2))
+    traj, stats = integrate(cfg)
+    assert stats.all_converged and stats.steps == 3
+    assert np.allclose(traj.times, [0.0, 0.2, 0.3])
+
+
 @pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton"])
 def test_solvers_without_the_splitting_accept_s_7(solver):
     # only the splitting needs abscissae, which are tabulated up to s = 6
@@ -175,19 +206,28 @@ def test_energy_drift_tracked_in_stats():
     assert stats.max_hamiltonian_error < 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the splitting stalls above the stopping tolerance on the stiff "
-                          "chain and ends unconverged at t = 170.1 (mu = 2), t = 26.1 (mu = 4)")
 @pytest.mark.parametrize("mu", [2, 4])
 def test_splitting_integrates_the_stiff_chain_to_t_400(mu):
-    # acceptance 7's configuration over a long horizon; simplified Newton
-    # runs all 4000 steps and conserves H to 5.6e-13 relative
+    # acceptance 7's configuration over a long horizon: rounding holds the
+    # increments above tol on some steps, and the stall at the floor ends them
+    # converged (with a stop at tol alone the run ended at t = 170.1 for
+    # mu = 2 and t = 26.1 for mu = 4); simplified Newton runs all 4000 steps
     sysm = fpu_modified()
     cfg = RunConfig(system=sysm, k=6, s=3, h=0.1, t_end=400.0,
                     options=SolveOptions(solver="splitting", mu=mu), store_every=0)
     _, stats = integrate(cfg)
     assert (stats.steps, stats.all_converged) == (4000, True), stats.failed_at
     assert stats.max_hamiltonian_error <= 1e-12 * abs(sysm.H(sysm.y0))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.01, 1e-3])
+def test_fixed_point_on_the_stiff_chain_fails_at_the_first_step(h):
+    # h |lambda| >> 1: the iterates diverge, and the stall window must not
+    # accept one of them as converged
+    cfg = RunConfig(system=fpu_modified(), k=6, s=3, h=h, t_end=1.0,
+                    options=SolveOptions(solver="fixed_point"), store_every=0)
+    _, stats = integrate(cfg)
+    assert (stats.steps, stats.all_converged, stats.failed_at) == (0, False, 0.0)
 
 
 def test_nonconvergence_truncates_and_records_time():

@@ -18,9 +18,11 @@ from hbvm.hamiltonian import (
 )
 from hbvm.integrator import RunConfig, integrate
 from hbvm.nlsolve import (
+    FLOOR_WINDOW,
     SolveOptions,
     StageProblem,
     _inner_iteration,
+    _iterate,
     _newton_correction,
     fixed_point_solve,
     lu_factor as factor_lu,
@@ -422,6 +424,30 @@ def test_every_solver_stops_at_its_cap_with_a_finite_increment(solver, max_outer
     assert res.residual_evaluations == res.outer_iterations
     assert res.inner_iterations_total == (3 * cap if solver == "splitting" else 0)
     assert np.isfinite(res.residual_norm)
+
+
+@pytest.mark.parametrize("increment,converged,iterations", [
+    pytest.param(lambda it: FLOOR_WINDOW / 2, True, 2, id="stall-inside-window"),
+    pytest.param(lambda it: 2 * FLOOR_WINDOW, False, 20, id="stall-outside-window"),
+    pytest.param(lambda it: 2 * FLOOR_WINDOW * 1.5 ** it, False, 20, id="divergence"),
+    pytest.param(lambda it: 0.9 * FLOOR_WINDOW / 2 ** it, True, 10, id="contraction"),
+])
+def test_outer_iteration_stops_at_a_stall_only_inside_the_floor_window(
+        increment, converged, iterations):
+    # x stays 0, so the floor is tol: the increment is increment(it) tol at
+    # iteration it; a stall or a growth ends the step converged only within
+    # FLOOR_WINDOW of the floor, and a contraction inside the window runs on
+    # to the floor itself (0.9 W / 2^it <= 1 first at it = 10 for W = 1e3)
+    p = _problem(harmonic_oscillator(), 4, 2, 0.1)
+    opts = SolveOptions(max_outer=20)
+    calls = []
+
+    def step(x):
+        calls.append(None)
+        return x, np.full(x.shape, increment(len(calls)) * opts.tol)
+
+    res = _iterate(p, opts, step, opts.max_outer)
+    assert (res.converged, res.outer_iterations) == (converged, iterations)
 
 
 def test_splitting_rejects_mismatched_data():

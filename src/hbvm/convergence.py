@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polybasis import require_integer
+
 __all__ = [
     "AmplificationReport",
     "iteration_matrix",
@@ -125,6 +127,8 @@ def amplification_report(data, mus=(1, 2, 3)):
     block of _GRID is evaluated once and reduced at once to rho(Z) and to
     every mu's averaged norm; only those values are kept, not the Z stacks.
     """
+    for mu in mus:
+        require_integer("mu", mu)
     if any(mu < 1 for mu in mus):
         raise ValueError(f"mu must be positive, got {min(mus)}")
 

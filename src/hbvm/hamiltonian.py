@@ -45,6 +45,10 @@ class HamiltonianSystem:
     label: str
     stacked_grad: bool = False
 
+    def __post_init__(self):
+        if np.shape(self.y0) != (self.dim,):
+            raise ValueError(f"require y0 of shape (2m,) = ({self.dim},), got {np.shape(self.y0)}")
+
     @property
     def dim(self):
         return 2 * self.m

@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianSystem, separable_hessian
 from .nlsolve import SolveOptions, StageProblem, solve
-from .polybasis import MAX_NODES
+from .polybasis import MAX_NODES, require_integer
 from .splitting import MAX_S, build_splitting
 from .tableau import build_tableau
 
@@ -27,7 +27,6 @@ __all__ = [
     "RunStats",
     "Trajectory",
     "integrate",
-    "order_study",
     "composition6_stormer_verlet",
 ]
 
@@ -56,9 +55,8 @@ class RunConfig:
 
     def __post_init__(self):
         _check_run(self.h, self.t_end, self.store_every)
-        for name in ("k", "s"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"require an integer {name}, got {name} = {getattr(self, name)!r}")
+        require_integer("k", self.k)
+        require_integer("s", self.s)
         if self.k < self.s or self.s < 1:
             raise ValueError("require k >= s >= 1")
         if self.k > MAX_NODES:
@@ -144,26 +142,6 @@ def _march(system, h, t_end, store_every, advance, stats):
         times.append(stats.steps * h)
         states.append(y.copy())
     return Trajectory(np.array(times), np.array(states)), stats
-
-
-def order_study(system, k, s, h_list, t_end, reference, options=None):
-    """Global errors at t_end for each h; ratios under halving ~ 2^(2s).
-
-    reference is a callable t -> exact state (closed form).
-    """
-    opts = options or SolveOptions(solver="splitting", mu=10)
-    out = []
-    for h in h_list:
-        cfg = RunConfig(system=system, k=k, s=s, h=h, t_end=t_end,
-                        options=opts, store_every=0)
-        traj, stats = integrate(cfg)
-        if not stats.all_converged:
-            raise RuntimeError(f"solver failed during order study at h={h}")
-        # the constant-stepsize run ends at steps*h, which may overshoot
-        # t_end when h does not divide it; compare at the reached time
-        y_ref = reference(traj.times[-1])
-        out.append((h, float(np.linalg.norm(traj.states[-1] - y_ref))))
-    return out
 
 
 def _triple_jump_6():

@@ -63,6 +63,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianSystem, apply_J, separable_hessian
 from .lu import lu_factor, lu_solve
+from .polybasis import require_integer
 from .tableau import HbvmTableau
 
 __all__ = [
@@ -114,8 +115,7 @@ class SolveOptions:
             raise ValueError(f"require a finite tol > 0, got tol = {self.tol}")
         for name in ("mu", "max_outer"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"require an integer {name}, got {name} = {value!r}")
+            require_integer(name, value)
             if value < 1:
                 raise ValueError(f"require {name} >= 1, got {name} = {value}")
 

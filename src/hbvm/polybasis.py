@@ -15,6 +15,12 @@ __all__ = ["QuadratureRule", "legendre_basis", "gauss_rule", "xi"]
 MAX_NODES = 50
 
 
+def require_integer(name, value):
+    """ValueError naming the parameter unless value is an int or a numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"require an integer {name}, got {name} = {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gaussian nodes/weights on [0,1]. Nodes are the k roots of P_k."""
@@ -63,6 +69,7 @@ def gauss_rule(k):
     seeded with Chebyshev nodes; weights come from the derivative formula
     b_i = 1 / ((1 - t_i^2) L_k'(t_i)^2) on the mapped interval.
     """
+    require_integer("k", k)
     if not 1 <= k <= MAX_NODES:
         raise ValueError(f"node count must be in [1, {MAX_NODES}], got {k}")
     t = np.cos(np.pi * (4 * np.arange(1, k + 1) - 1) / (4 * k + 2))

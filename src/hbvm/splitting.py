@@ -19,22 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lu import LU, lu_factor
-from .polybasis import legendre_basis
+from .polybasis import legendre_basis, require_integer
 from .tableau import det_Xs, leading_Xs
 
 __all__ = [
     "MAX_S",
     "SplittingData",
-    "d_s",
-    "auxiliary_abscissae",
     "crout_lu_constant_diag",
     "build_splitting",
     "verify_conditions",
 ]
 
-# Tabulated auxiliary abscissae, s = 2..6. The s = 6 entries are deliberately
-# non-monotone; the printed order is preserved (it fixes the row order of Phat).
+# Tabulated auxiliary abscissae, s = 1..6; for s = 1 any abscissa gives Phat = [[1]].
+# The s = 6 entries are deliberately non-monotone: the printed order fixes Phat's rows.
 _AUX_ABSCISSAE = {
+    1: [1.0],
     2: [0.26036297108184508789101036587842555, 1.0],
     3: [0.15636399930006671060146617869938122,
         0.45431868644630821020177903150137523,
@@ -78,20 +77,6 @@ class SplittingData:
         object.__setattr__(self, "T", self.L @ (self.U - np.eye(self.s)))
 
 
-def d_s(s):
-    """Common diagonal entry of the L factor: the s-th root of det(X_s)."""
-    if not 1 <= s <= MAX_S:
-        raise ValueError(f"d_s tabulated/valid for 1 <= s <= {MAX_S}, got {s}")
-    return det_Xs(s) ** (1.0 / s)
-
-
-def auxiliary_abscissae(s):
-    """The tabulated auxiliary abscissae chat_1..chat_s, 2 <= s <= 6."""
-    if s not in _AUX_ABSCISSAE:
-        raise ValueError(f"auxiliary abscissae available for s in [2, {MAX_S}], got {s}")
-    return np.array(_AUX_ABSCISSAE[s])
-
-
 def crout_lu_constant_diag(Ahat, d):
     """Crout LU factorization without pivoting: Ahat = L U, U unit diagonal.
 
@@ -118,21 +103,19 @@ def crout_lu_constant_diag(Ahat, d):
 
 
 def build_splitting(s):
-    """Assemble the SplittingData for 1 <= s <= MAX_S.
-
-    s = 1 is the degenerate case (Ahat = L = X_1 = [[1/2]], U = [[1]]): any
-    abscissa gives Phat = [[1]], and chat = [1] is used; it lets HBVM(k,1)
-    flow through the same solver code path.
-    """
+    """Assemble the SplittingData for 1 <= s <= MAX_S from the tabulated chat and
+    d = det(X_s)^(1/s). s = 1 is the degenerate case (Ahat = L = X_1 = [[1/2]],
+    U = [[1]]); it lets HBVM(k,1) flow through the same solver code path."""
+    require_integer("s", s)
     if not 1 <= s <= MAX_S:
         raise ValueError(f"splitting available for 1 <= s <= {MAX_S}, got {s}")
-    chat = np.array([1.0]) if s == 1 else auxiliary_abscissae(s)
+    chat = np.array(_AUX_ABSCISSAE[s])
     Phat = legendre_basis(chat, s)
     Xs = leading_Xs(s)
     # Ahat = Phat X_s Phat^{-1}, formed by a linear solve rather than inversion:
     # Ahat Phat = Phat Xs  <=>  Phat^T Ahat^T = (Phat Xs)^T
     Ahat = np.linalg.solve(Phat.T, (Phat @ Xs).T).T
-    d = d_s(s)
+    d = det_Xs(s) ** (1.0 / s)
     L, U = crout_lu_constant_diag(Ahat, d)
     return SplittingData(s=s, chat=chat, Phat=Phat, Ahat=Ahat, L=L, U=U, d=d)
 

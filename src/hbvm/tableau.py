@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import QuadratureRule, gauss_rule, legendre_basis, xi
+from .polybasis import QuadratureRule, gauss_rule, legendre_basis, require_integer, xi
 
 __all__ = ["HbvmTableau", "XsEigen", "build_Xhat", "leading_Xs", "xs_eigen", "det_Xs",
            "build_tableau"]
@@ -100,6 +100,8 @@ def det_Xs(s):
 
 def build_tableau(k, s):
     """Assemble the HBVM(k,s) tableau at the k Gaussian abscissae."""
+    require_integer("k", k)
+    require_integer("s", s)
     if s < 1 or k < s:
         raise ValueError(f"require k >= s >= 1, got k={k}, s={s}")
     rule = gauss_rule(k)

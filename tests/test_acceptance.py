@@ -17,7 +17,6 @@ from hbvm.integrator import (
     RunConfig,
     composition6_stormer_verlet,
     integrate,
-    order_study,
 )
 from hbvm.nlsolve import (
     SolveOptions,
@@ -28,6 +27,7 @@ from hbvm.nlsolve import (
 from hbvm.polybasis import legendre_basis
 from hbvm.splitting import build_splitting, verify_conditions
 from hbvm.tableau import build_tableau
+from tests.test_integrator import order_errors
 from tests.test_tableau import gauss_collocation_matrix
 
 D_TABLE = {2: 0.28867513459481288, 3: 0.20274006651911334,
@@ -136,9 +136,9 @@ def test_05_convergence_order(report):
         details = []
         ok = True
         for k, s, h0 in ((2, 1, 0.08), (4, 2, 0.16), (6, 3, 0.4)):
-            res = order_study(sysm, k, s, [h0, h0 / 2, h0 / 4], 2.0, exact)
+            errs = order_errors(sysm, k, s, [h0, h0 / 2, h0 / 4], 2.0, exact)
             target = 2.0 ** (2 * s)
-            for (_, e1), (_, e2) in zip(res, res[1:]):
+            for e1, e2 in zip(errs, errs[1:]):
                 ratio = e1 / e2
                 details.append(f"(k={k},s={s}) {ratio:.1f}/{target:.0f}")
                 ok = ok and abs(ratio / target - 1.0) <= 0.20

@@ -1,6 +1,10 @@
-"""The narrative demos run to the end, in process, with stdout captured, and
-the package root offers exactly the entry points the demos, the README and the
-benchmark import from it."""
+"""The narrative demos and the README's Python examples run to the end, in
+process, with stdout captured; the package root offers exactly the entry points
+the demos, the README and the benchmark import from it, and every name a
+module's __all__ lists exists."""
+import importlib
+import pkgutil
+import re
 import runpy
 import sys
 import types
@@ -8,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+import hbvm
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 ENTRY_POINTS = [
@@ -19,11 +26,30 @@ ENTRY_POINTS = [
 
 
 def test_package_root_exports_the_entry_points():
-    import hbvm
-
     public = sorted(name for name, value in vars(hbvm).items()
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == ENTRY_POINTS
+
+
+@pytest.mark.parametrize("name", sorted(info.name for info in pkgutil.iter_modules(hbvm.__path__)))
+def test_every_name_in_a_module_all_exists(name):
+    # `from hbvm.<name> import *` raises on a listed name that is gone
+    module = importlib.import_module(f"hbvm.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_readme_python_examples_run(capsys):
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    quick_start, own_problem = blocks
+    exec(quick_start, {})
+    rel_error, counts = capsys.readouterr().out.splitlines()
+    assert abs(float(rel_error)) < 1e-13  # "~1e-14: exact up to rounding"
+    outer, factorizations = map(int, counts.split())
+    assert outer > 0 and factorizations > 0
+    namespace = {}
+    exec(own_problem, namespace)
+    assert isinstance(namespace["quartic"], hbvm.HamiltonianSystem)
 
 
 def _run(monkeypatch, capsys, name, *argv):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hbvm.convergence import amplification_report
 from hbvm.hamiltonian import (
     HamiltonianSystem,
     charged_particle,
@@ -18,13 +19,29 @@ from hbvm.integrator import (
     _march,
     composition6_stormer_verlet,
     integrate,
-    order_study,
 )
 from hbvm.nlsolve import SolveOptions
+from hbvm.polybasis import gauss_rule
+from hbvm.splitting import build_splitting
+from hbvm.tableau import build_tableau
 
 
 def _harmonic_exact(omega):
     return lambda t: np.array([np.cos(omega * t), -omega * np.sin(omega * t)])
+
+
+def order_errors(system, k, s, h_list, t_end, reference):
+    """Global error at the end of a splitting run (mu = 10, endpoints only) for
+    each h in h_list; under halving the ratios approach 2^(2s). reference maps
+    t to the exact state; a run that overshoots t_end is compared where it ends."""
+    errors = []
+    for h in h_list:
+        cfg = RunConfig(system=system, k=k, s=s, h=h, t_end=t_end,
+                        options=SolveOptions(solver="splitting", mu=10), store_every=0)
+        traj, stats = integrate(cfg)
+        assert stats.all_converged, f"the splitting failed at h = {h}"
+        errors.append(float(np.linalg.norm(traj.states[-1] - reference(traj.times[-1]))))
+    return errors
 
 
 def test_run_config_validation():
@@ -97,12 +114,36 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
                  id="run-store_every"),
     pytest.param(lambda: _comp6(store_every=1.5), "got store_every = 1.5$",
                  id="composition6-store_every"),
+    pytest.param(lambda: gauss_rule(4.0), "^require an integer k, got k = 4.0$", id="gauss-k"),
+    pytest.param(lambda: build_tableau(4.0, 2), "^require an integer k, got k = 4.0$",
+                 id="tableau-k"),
+    pytest.param(lambda: build_tableau(4, 2.0), "^require an integer s, got s = 2.0$",
+                 id="tableau-s"),
+    pytest.param(lambda: build_splitting(2.0), "^require an integer s, got s = 2.0$",
+                 id="splitting-s"),
+    pytest.param(lambda: build_splitting(2.5), "^require an integer s, got s = 2.5$",
+                 id="splitting-s-fractional"),
+    pytest.param(lambda: amplification_report(build_splitting(2), (1.5,)),
+                 "^require an integer mu, got mu = 1.5$", id="report-mu"),
 ])
 def test_non_integral_counts_are_rejected_by_name(make, message):
     # a float count passed the range checks and then failed mid-run (range,
-    # np.zeros) or stored a wrong grid
+    # np.zeros, an integer power) or stored a wrong grid
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("factory,dim,n", [(harmonic_oscillator, 2, 3), (fpu_modified, 28, 27)])
+@pytest.mark.parametrize("run", [
+    lambda sysm: integrate(RunConfig(sysm, 2, 1, 0.1, 0.2)),
+    lambda sysm: composition6_stormer_verlet(sysm, 0.1, 0.2),
+], ids=["integrate", "composition6"])
+def test_a_y0_not_of_length_2m_is_rejected_by_name(factory, dim, n, run):
+    # HamiltonianSystem checks y0 when it is made; unchecked, a run failed in H
+    # on an unpacking, at step 1 on the dimension, or in a substep on a broadcast
+    message = rf"^require y0 of shape \(2m,\) = \({dim},\), got \({n},\)$"
+    with pytest.raises(ValueError, match=message):
+        run(dataclasses.replace(factory(), y0=np.zeros(n)))
 
 
 def test_numpy_integer_counts_are_accepted():
@@ -365,15 +406,9 @@ def test_gradient_and_hessian_counters_match_real_calls(solver):
 ])
 def test_convergence_order(k, s, h0, lo, hi):
     sysm = harmonic_oscillator(1.0)
-    res = order_study(sysm, k, s, [h0, h0 / 2, h0 / 4], 2.0, _harmonic_exact(1.0))
-    for (_, e1), (_, e2) in zip(res, res[1:]):
+    errs = order_errors(sysm, k, s, [h0, h0 / 2, h0 / 4], 2.0, _harmonic_exact(1.0))
+    for e1, e2 in zip(errs, errs[1:]):
         assert lo < e1 / e2 < hi
-
-
-def test_order_study_raises_on_failure():
-    with pytest.raises(RuntimeError):
-        order_study(fpu_modified(), 2, 2, [5e-4], 0.1, lambda t: np.zeros(28),
-                    options=SolveOptions(solver="fixed_point", max_outer=20))
 
 
 # ---------------------------------------------------------------------------

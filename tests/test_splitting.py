@@ -5,10 +5,8 @@ from numpy.polynomial import legendre as npl
 from hbvm.polybasis import legendre_basis
 from hbvm.splitting import (
     SplittingData,
-    auxiliary_abscissae,
     build_splitting,
     crout_lu_constant_diag,
-    d_s,
     verify_conditions,
 )
 from hbvm.tableau import det_Xs, leading_Xs
@@ -25,36 +23,30 @@ D_TABLE = {
 
 @pytest.mark.parametrize("s,expected", sorted(D_TABLE.items()))
 def test_d_s_matches_table(s, expected):
-    assert d_s(s) == pytest.approx(expected, abs=1e-15)
+    assert build_splitting(s).d == pytest.approx(expected, abs=1e-15)
 
 
 def test_d_s_is_root_of_det():
     for s in range(1, 7):
-        assert d_s(s) ** s == pytest.approx(det_Xs(s), rel=1e-14)
+        assert build_splitting(s).d ** s == pytest.approx(det_Xs(s), rel=1e-14)
 
 
 def test_abscissae_s2():
-    assert auxiliary_abscissae(2) == pytest.approx(
+    assert build_splitting(2).chat == pytest.approx(
         [0.26036297108184508789, 1.0], abs=1e-16)
 
 
 def test_abscissae_s3():
-    assert auxiliary_abscissae(3) == pytest.approx(
+    assert build_splitting(3).chat == pytest.approx(
         [0.15636399930006671060, 0.45431868644630821020, 0.948], abs=1e-16)
 
 
 def test_abscissae_s6_order_preserved():
-    chat = auxiliary_abscissae(6)
+    chat = build_splitting(6).chat
     assert len(chat) == 6
     assert chat[0] == pytest.approx(0.20985774196263657630, abs=1e-16)
     assert chat[4] == pytest.approx(0.04580307227138364392, abs=1e-16)
     assert chat[5] == pytest.approx(0.94225, abs=1e-16)
-
-
-@pytest.mark.parametrize("s", [0, 1, 7])
-def test_abscissae_rejects_out_of_range(s):
-    with pytest.raises(ValueError):
-        auxiliary_abscissae(s)
 
 
 @pytest.mark.parametrize("s", [-1, 0, 7])
@@ -72,7 +64,7 @@ def test_crout_identity():
 def test_crout_s2_diagonal():
     data = build_splitting(2)
     L, _ = crout_lu_constant_diag(data.Ahat, data.d)
-    assert np.max(np.abs(np.diag(L) - d_s(2))) < 1e-12
+    assert np.max(np.abs(np.diag(L) - D_TABLE[2])) < 1e-12
 
 
 def test_crout_s4_determinant():

@@ -34,11 +34,14 @@ DIVERGENCE_THRESHOLD = 1e10
 
 
 def _check_run(h, t_end, store_every):
-    """ValueError naming the first bad parameter of a run: h and t_end must
-    be finite and positive (NaN fails both tests), store_every an integer >= 0."""
+    """ValueError naming the first bad parameter of a run: h, t_end and t_end / h
+    must be finite, h and t_end positive (NaN fails), store_every an integer >= 0."""
     for name, value in (("h", h), ("t_end", t_end)):
         if not 0 < value < np.inf:
             raise ValueError(f"require h > 0 and t_end > 0, both finite; got {name} = {value}")
+    with np.errstate(over="ignore"):  # a numpy scalar quotient warns as it overflows
+        if not t_end / h < np.inf:
+            raise ValueError(f"require a finite step count t_end / h, got h = {h}, t_end = {t_end}")
     if not isinstance(store_every, (int, np.integer)) or store_every < 0:
         raise ValueError(f"require an integer store_every >= 0, got store_every = {store_every!r}")
 

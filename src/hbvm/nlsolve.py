@@ -96,8 +96,9 @@ class StageProblem:
         # the methods are symmetric: a step of -h is as valid as one of h
         if not 0 < abs(self.h) < np.inf:
             raise ValueError(f"require a finite nonzero h, got h = {self.h}")
-        if len(self.y0_step) != self.system.dim:
-            raise ValueError("state dimension mismatch")
+        if np.shape(self.y0_step) != (self.system.dim,):
+            raise ValueError(f"require y0_step of shape (2m,) = ({self.system.dim},), "
+                             f"got {np.shape(self.y0_step)}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .lu import LU, lu_factor
 from .polybasis import legendre_basis, require_integer
-from .tableau import det_Xs, leading_Xs
+from .tableau import build_Xhat, det_Xs
 
 __all__ = [
     "MAX_S",
@@ -111,7 +111,7 @@ def build_splitting(s):
         raise ValueError(f"splitting available for 1 <= s <= {MAX_S}, got {s}")
     chat = np.array(_AUX_ABSCISSAE[s])
     Phat = legendre_basis(chat, s)
-    Xs = leading_Xs(s)
+    Xs = build_Xhat(s)[:s]
     # Ahat = Phat X_s Phat^{-1}, formed by a linear solve rather than inversion:
     # Ahat Phat = Phat Xs  <=>  Phat^T Ahat^T = (Phat Xs)^T
     Ahat = np.linalg.solve(Phat.T, (Phat @ Xs).T).T

@@ -6,8 +6,8 @@ tridiagonal-plus-last-row matrix built from the xi_i coefficients and
 Omega = diag(b) is the diagonal matrix of quadrature weights. Omega is never
 formed: a product with it scales columns by the weights b. For k = s this
 reduces to the classical s-stage Gauss-Legendre collocation method. The
-tableau also carries the eigendecomposition of X_s that block-diagonalises
-simplified Newton.
+tableau carries its nodes c and weights b, and the eigendecomposition of X_s
+= Xhat_s[:s] that block-diagonalises simplified Newton.
 """
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import QuadratureRule, gauss_rule, legendre_basis, require_integer, xi
+from .polybasis import gauss_rule, legendre_basis, require_integer, xi
 
-__all__ = ["HbvmTableau", "XsEigen", "build_Xhat", "leading_Xs", "xs_eigen", "det_Xs",
-           "build_tableau"]
+__all__ = ["HbvmTableau", "XsEigen", "build_Xhat", "det_Xs", "build_tableau"]
 
 
 @dataclass(frozen=True)
@@ -41,25 +40,19 @@ class XsEigen:
 class HbvmTableau:
     k: int
     s: int
-    rule: QuadratureRule
+    c: np.ndarray      # k Gauss nodes on [0,1]
+    b: np.ndarray      # k Gauss weights
     A: np.ndarray      # k x k
     Xhat: np.ndarray   # (s+1) x s
     W: np.ndarray      # k x s, P_{s+1} Xhat: stage values from gamma
     M: np.ndarray      # s x k, P_s^T Omega: gamma from stage slopes
     eig: XsEigen       # eigendecomposition of X_s, for simplified Newton
 
-    @property
-    def c(self):
-        return self.rule.nodes
-
-    @property
-    def b(self):
-        return self.rule.weights
-
 
 def build_Xhat(s):
     """The (s+1) x s matrix Xhat_s: entry (0,0) = 1/2, subdiagonal xi_1..xi_s,
     superdiagonal -xi_1..-xi_{s-1}."""
+    require_integer("s", s)
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
     X = np.zeros((s + 1, s))
@@ -71,15 +64,10 @@ def build_Xhat(s):
     return X
 
 
-def leading_Xs(s):
-    """Leading s x s block X_s of Xhat_s."""
-    return build_Xhat(s)[:s, :]
-
-
-def xs_eigen(s):
-    """The XsEigen of X_s; V^{-1} is inverted from the full V with the pair
-    partners set to exact conjugates, so the kept rows pair up exactly too."""
-    lam, V = np.linalg.eig(leading_Xs(s))
+def _xs_eigen(Xs):
+    """The XsEigen of the matrix X_s; V^{-1} is inverted from the full V with the
+    pair partners set to exact conjugates, so the kept rows pair up exactly too."""
+    lam, V = np.linalg.eig(Xs)
     lam, V = lam.astype(complex), V.astype(complex)
     real = lam.imag == 0  # LAPACK's geev returns exact zeros for real eigenvalues
     keep = np.concatenate([np.flatnonzero(real), np.flatnonzero(lam.imag > 0)])
@@ -91,6 +79,7 @@ def xs_eigen(s):
 def det_Xs(s):
     """Closed-form determinant of X_s (Laplace expansion):
     prod xi_{2i-1}^2 for even s, (1/2) prod xi_{2i}^2 for odd s."""
+    require_integer("s", s)
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
     if s % 2 == 0:
@@ -111,4 +100,5 @@ def build_tableau(k, s):
     W = Ps1 @ Xhat
     A = (W @ Ps.T) * rule.weights  # == W @ Ps.T @ Omega
     M = Ps.T * rule.weights        # == Ps.T @ Omega
-    return HbvmTableau(k=k, s=s, rule=rule, A=A, Xhat=Xhat, W=W, M=M, eig=xs_eigen(s))
+    return HbvmTableau(k=k, s=s, c=rule.nodes, b=rule.weights, A=A, Xhat=Xhat, W=W, M=M,
+                       eig=_xs_eigen(Xhat[:s]))

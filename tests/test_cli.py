@@ -303,6 +303,8 @@ def test_sweep_names_the_key_value_and_line_it_cannot_read(tmp_path, capsys, bad
     ("omega = -1\nh = 0.1\n", "omega must be positive"),
     ("solver = composition6\nh = -0.1\n", "require h > 0 and t_end > 0"),
     ("h = 0.1\nt_end = inf\n", "t_end = inf"),
+    ("h = 1e-310\nt_end = 1e300\n", "error: sweep spec [run] block at line 5: require a finite "
+                                   "step count t_end / h, got h = 1e-310, t_end = 1e+300\n"),
     ("k = 8\ns = 7\nh = 0.1\n", "the splitting requires s <= 6, got s = 7"),
     ("k = 60\nh = 0.1\n", "require k <= 50, got k = 60"),
     ("problem = charged-particle\nsolver = composition6\nh = 0.1\n",

@@ -23,7 +23,7 @@ from hbvm.integrator import (
 from hbvm.nlsolve import SolveOptions
 from hbvm.polybasis import gauss_rule
 from hbvm.splitting import build_splitting
-from hbvm.tableau import build_tableau
+from hbvm.tableau import build_Xhat, build_tableau, det_Xs
 
 
 def _harmonic_exact(omega):
@@ -70,6 +70,9 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  id="run-t_end-inf"),
     pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, 1.0, store_every=-1),
                  "store_every = -1", id="run-store_every-negative"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 1e-310, 1e300),
+                 r"^require a finite step count t_end / h, got h = 1e-310, t_end = 1e\+300$",
+                 id="run-step-count-overflows"),
     pytest.param(lambda: SolveOptions(tol=np.nan), "tol = nan", id="options-tol-nan"),
     pytest.param(lambda: SolveOptions(tol=np.inf), "tol = inf", id="options-tol-inf"),
     pytest.param(lambda: SolveOptions(mu=0), "^require mu >= 1, got mu = 0$", id="options-mu-0"),
@@ -83,6 +86,9 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
     pytest.param(lambda: _comp6(t_end=np.inf), "t_end = inf", id="composition6-t_end-inf"),
     pytest.param(lambda: _comp6(store_every=-1), "store_every = -1",
                  id="composition6-store_every-negative"),
+    pytest.param(lambda: _comp6(h=np.float64(1e-310), t_end=np.float64(1e300)),
+                 r"^require a finite step count t_end / h, got h = 1e-310, t_end = 1e\+300$",
+                 id="composition6-step-count-overflows"),
     pytest.param(lambda: harmonic_oscillator(np.nan), "omega = nan", id="harmonic-omega-nan"),
     pytest.param(lambda: harmonic_oscillator(np.inf), "omega = inf", id="harmonic-omega-inf"),
     pytest.param(lambda: RunConfig(_harmonic, 60, 2, 0.1, 1.0), "^require k <= 50, got k = 60$",
@@ -121,6 +127,8 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
                  id="tableau-s"),
     pytest.param(lambda: build_splitting(2.0), "^require an integer s, got s = 2.0$",
                  id="splitting-s"),
+    pytest.param(lambda: build_Xhat(2.5), "^require an integer s, got s = 2.5$", id="Xhat-s"),
+    pytest.param(lambda: det_Xs(3.0), "^require an integer s, got s = 3.0$", id="det_Xs-s"),
     pytest.param(lambda: build_splitting(2.5), "^require an integer s, got s = 2.5$",
                  id="splitting-s-fractional"),
     pytest.param(lambda: amplification_report(build_splitting(2), (1.5,)),

@@ -36,7 +36,7 @@ from hbvm.nlsolve import (
 )
 from hbvm.polybasis import legendre_basis
 from hbvm.splitting import build_splitting
-from hbvm.tableau import build_tableau, leading_Xs
+from hbvm.tableau import build_Xhat, build_tableau
 
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
@@ -61,7 +61,7 @@ def linear_stage_oracle(p):
     """
     t = p.tableau
     W = legendre_basis(t.c, t.s + 1) @ t.Xhat
-    M = legendre_basis(t.c, t.s).T * t.rule.weights
+    M = legendre_basis(t.c, t.s).T * t.b
     Q = p.system.hess(p.y0_step)
     n = p.system.dim
     JQ = np.vstack([Q[n // 2:], -Q[:n // 2]])
@@ -94,7 +94,7 @@ def test_stage_maps_are_cached_on_the_tableau():
     t = build_tableau(6, 3)
     Ps, Ps1 = legendre_basis(t.c, 3), legendre_basis(t.c, 4)
     assert np.array_equal(t.W, Ps1 @ t.Xhat)
-    assert np.array_equal(t.M, Ps.T * t.rule.weights)
+    assert np.array_equal(t.M, Ps.T * t.b)
     assert np.array_equal(t.A, Ps1 @ t.Xhat @ Ps.T @ np.diag(t.b))
     # A scales the columns of W P_s^T by the weights: the product with
     # diag(b) in every value and sign bit
@@ -269,7 +269,7 @@ def test_cached_eigendecomposition_reproduces_Xs(s):
     # X_s = sum_j lam_j V_j Vinv_j, the dropped partners adding the conjugates
     terms = e.lam[:, None, None] * e.V.T[:, :, None] * e.Vinv[:, None, :]
     X = terms[e.real].sum(axis=0).real + 2.0 * terms[~e.real].sum(axis=0).real
-    assert np.max(np.abs(X - leading_Xs(s))) < 1e-14
+    assert np.max(np.abs(X - build_Xhat(s)[:s])) < 1e-14
     assert np.max(np.abs(e.Vinv @ e.V - np.eye(len(e.lam)))) < 1e-13
 
 
@@ -282,7 +282,7 @@ def test_block_diagonal_correction_matches_kron_solve(s, m):
     for h in (0.1, 1.0):
         B = rng.standard_normal((n, n))
         F = rng.standard_normal((s, n))
-        dense = np.linalg.solve(np.eye(s * n) - h * np.kron(leading_Xs(s), B),
+        dense = np.linalg.solve(np.eye(s * n) - h * np.kron(build_Xhat(s)[:s], B),
                                 -F.ravel()).reshape(s, n)
         hess0 = -apply_J(B.T).T  # J hess0 = B exactly: J only moves and negates
         delta = _newton_correction(e, step_factors(hess0, h * e.lam), F)
@@ -307,6 +307,10 @@ def test_stage_problem_validation():
     assert StageProblem(tab, sysm, sysm.y0, -0.1).h == -0.1  # the methods are symmetric
     with pytest.raises(ValueError):
         StageProblem(tab, sysm, np.zeros(5), 0.1)
+    # a (2m, 1) column has length 2m, but its stages broadcast to a wrong step
+    with pytest.raises(ValueError, match=r"^require y0_step of shape \(2m,\) = \(2,\), "
+                                         r"got \(2, 1\)$"):
+        StageProblem(tab, sysm, np.array([[1.0], [0.0]]), 0.1)
 
 
 def test_solve_options_validation():

@@ -9,7 +9,7 @@ from hbvm.splitting import (
     crout_lu_constant_diag,
     verify_conditions,
 )
-from hbvm.tableau import det_Xs, leading_Xs
+from hbvm.tableau import build_Xhat, det_Xs
 
 # Table 1 diagonal entries, >= 17 significant digits
 D_TABLE = {
@@ -94,7 +94,7 @@ def test_splitting_data_invariants(s):
     assert np.max(np.abs(np.diag(data.L) - data.d)) < 1e-11
     assert np.all(np.diag(data.U) == 1.0)
     # similarity: Ahat Phat = Phat X_s
-    assert np.max(np.abs(data.Ahat @ data.Phat - data.Phat @ leading_Xs(s))) < 1e-12
+    assert np.max(np.abs(data.Ahat @ data.Phat - data.Phat @ build_Xhat(s)[:s])) < 1e-12
     assert len(np.unique(data.chat)) == s
     assert np.all((data.chat > 0) & (data.chat <= 1))
     N = np.linalg.matrix_power(data.U - I, s)
@@ -167,7 +167,7 @@ def test_verify_conditions_sensitive_to_perturbation():
     chat = base.chat.copy()
     chat[0] += 1e-3
     Phat = legendre_basis(chat, 3)
-    Ahat = np.linalg.solve(Phat.T, (Phat @ leading_Xs(3)).T).T
+    Ahat = np.linalg.solve(Phat.T, (Phat @ build_Xhat(3)[:3]).T).T
     perturbed = SplittingData(s=3, chat=chat, Phat=Phat, Ahat=Ahat,
                               L=base.L, U=base.U, d=base.d)
     assert np.max(verify_conditions(perturbed)) > 1e-6

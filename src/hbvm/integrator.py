@@ -18,9 +18,8 @@ import numpy as np
 
 from .hamiltonian import HamiltonianSystem, separable_hessian
 from .nlsolve import SolveOptions, StageProblem, solve
-from .polybasis import MAX_NODES, require_integer
-from .splitting import MAX_S, build_splitting
-from .tableau import build_tableau
+from .splitting import SplittingData, build_splitting
+from .tableau import HbvmTableau, build_tableau
 
 __all__ = [
     "RunConfig",
@@ -48,6 +47,9 @@ def _check_run(h, t_end, store_every):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One HBVM(k,s) run. The builders check k and s: the config builds the
+    tableau, and the splitting data for the splitting solver, once, and every
+    integrate(cfg) reuses them; dataclasses.replace builds them anew."""
     system: HamiltonianSystem
     k: int
     s: int
@@ -55,17 +57,14 @@ class RunConfig:
     t_end: float
     options: SolveOptions = field(default_factory=SolveOptions)
     store_every: int = 1  # 0: keep only the endpoints
+    tableau: HbvmTableau = field(init=False, repr=False, compare=False)
+    splitting: SplittingData | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_run(self.h, self.t_end, self.store_every)
-        require_integer("k", self.k)
-        require_integer("s", self.s)
-        if self.k < self.s or self.s < 1:
-            raise ValueError("require k >= s >= 1")
-        if self.k > MAX_NODES:
-            raise ValueError(f"require k <= {MAX_NODES}, got k = {self.k}")
-        if self.options.solver == "splitting" and self.s > MAX_S:
-            raise ValueError(f"the splitting requires s <= {MAX_S}, got s = {self.s}")
+        object.__setattr__(self, "tableau", build_tableau(self.k, self.s))
+        object.__setattr__(self, "splitting", build_splitting(self.s)
+                           if self.options.solver == "splitting" else None)
 
 
 @dataclass
@@ -89,15 +88,14 @@ class Trajectory:
 
 
 def integrate(cfg):
-    """Advance ceil(t_end / h) steps of HBVM(k,s) with the configured solver.
+    """Advance ceil(t_end / h) steps of HBVM(k,s) with the configured solver,
+    from the tableau and splitting data the config built; nothing is built here.
 
     On solver non-convergence the run is truncated, all_converged is set to
     False and the failure time is recorded; this mirrors the way benchmark
     tables report '***' entries.
     """
-    sysm, h, opts = cfg.system, cfg.h, cfg.options
-    tab = build_tableau(cfg.k, cfg.s)
-    data = build_splitting(cfg.s) if opts.solver == "splitting" else None
+    sysm, h, opts, tab, data = cfg.system, cfg.h, cfg.options, cfg.tableau, cfg.splitting
     comp = np.zeros(sysm.dim)  # Kahan compensation for the state update
 
     def advance(y, stats):

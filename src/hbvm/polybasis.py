@@ -16,8 +16,9 @@ MAX_NODES = 50
 
 
 def require_integer(name, value):
-    """ValueError naming the parameter unless value is an int or a numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """ValueError naming the parameter unless value is an int or a numpy integer;
+    a bool is neither (as a numpy index True adds an axis instead of reading 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"require an integer {name}, got {name} = {value!r}")
 
 
@@ -71,7 +72,7 @@ def gauss_rule(k):
     """
     require_integer("k", k)
     if not 1 <= k <= MAX_NODES:
-        raise ValueError(f"node count must be in [1, {MAX_NODES}], got {k}")
+        raise ValueError(f"require 1 <= k <= {MAX_NODES}, got k = {k}")
     t = np.cos(np.pi * (4 * np.arange(1, k + 1) - 1) / (4 * k + 2))
     for _ in range(100):
         p, dp = _std_legendre_pair(k, t)

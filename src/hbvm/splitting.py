@@ -23,7 +23,6 @@ from .polybasis import legendre_basis, require_integer
 from .tableau import build_Xhat, det_Xs
 
 __all__ = [
-    "MAX_S",
     "SplittingData",
     "crout_lu_constant_diag",
     "build_splitting",
@@ -108,7 +107,7 @@ def build_splitting(s):
     U = [[1]]); it lets HBVM(k,1) flow through the same solver code path."""
     require_integer("s", s)
     if not 1 <= s <= MAX_S:
-        raise ValueError(f"splitting available for 1 <= s <= {MAX_S}, got {s}")
+        raise ValueError(f"the splitting requires 1 <= s <= {MAX_S}, got s = {s}")
     chat = np.array(_AUX_ABSCISSAE[s])
     Phat = legendre_basis(chat, s)
     Xs = build_Xhat(s)[:s]

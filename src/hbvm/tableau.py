@@ -92,7 +92,7 @@ def build_tableau(k, s):
     require_integer("k", k)
     require_integer("s", s)
     if s < 1 or k < s:
-        raise ValueError(f"require k >= s >= 1, got k={k}, s={s}")
+        raise ValueError(f"require k >= s >= 1, got k = {k}, s = {s}")
     rule = gauss_rule(k)
     Ps1 = legendre_basis(rule.nodes, s + 1)
     Ps = Ps1[:, :s]

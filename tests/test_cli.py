@@ -62,7 +62,7 @@ def test_splitting_rejects_out_of_range(capsys):
 def test_splitting_out_of_range_message_gives_the_valid_range(capsys, s):
     code, _, err = run_cli(capsys, "splitting", "-s", s)
     assert code == 2
-    assert f"1 <= s <= 6, got {s}" in err
+    assert f"the splitting requires 1 <= s <= 6, got s = {s}" in err
 
 
 def test_analyze_values(capsys):
@@ -299,14 +299,14 @@ def test_sweep_names_the_key_value_and_line_it_cannot_read(tmp_path, capsys, bad
 
 
 @pytest.mark.parametrize("bad_block,message", [
-    ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1"),
+    ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1, got k = 1, s = 2"),
     ("omega = -1\nh = 0.1\n", "omega must be positive"),
     ("solver = composition6\nh = -0.1\n", "require h > 0 and t_end > 0"),
     ("h = 0.1\nt_end = inf\n", "t_end = inf"),
     ("h = 1e-310\nt_end = 1e300\n", "error: sweep spec [run] block at line 5: require a finite "
                                    "step count t_end / h, got h = 1e-310, t_end = 1e+300\n"),
-    ("k = 8\ns = 7\nh = 0.1\n", "the splitting requires s <= 6, got s = 7"),
-    ("k = 60\nh = 0.1\n", "require k <= 50, got k = 60"),
+    ("k = 8\ns = 7\nh = 0.1\n", "the splitting requires 1 <= s <= 6, got s = 7"),
+    ("k = 60\nh = 0.1\n", "require 1 <= k <= 50, got k = 60"),
     ("problem = charged-particle\nsolver = composition6\nh = 0.1\n",
      "block at line 5: composition method requires a separable Hamiltonian"),
     ("omega = -1\nh = 0.1\n", "error: sweep spec [run] block at line 5: "

@@ -91,10 +91,14 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  id="composition6-step-count-overflows"),
     pytest.param(lambda: harmonic_oscillator(np.nan), "omega = nan", id="harmonic-omega-nan"),
     pytest.param(lambda: harmonic_oscillator(np.inf), "omega = inf", id="harmonic-omega-inf"),
-    pytest.param(lambda: RunConfig(_harmonic, 60, 2, 0.1, 1.0), "^require k <= 50, got k = 60$",
-                 id="run-k-above-max-nodes"),
+    pytest.param(lambda: RunConfig(_harmonic, 60, 2, 0.1, 1.0),
+                 "^require 1 <= k <= 50, got k = 60$", id="run-k-above-max-nodes"),
     pytest.param(lambda: RunConfig(_harmonic, 8, 7, 0.1, 1.0),
-                 "^the splitting requires s <= 6, got s = 7$", id="run-splitting-s-7"),
+                 "^the splitting requires 1 <= s <= 6, got s = 7$", id="run-splitting-s-7"),
+    pytest.param(lambda: RunConfig(_harmonic, 1, 2, 0.1, 1.0),
+                 "^require k >= s >= 1, got k = 1, s = 2$", id="run-k-below-s"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 0, 0.1, 1.0),
+                 "^require k >= s >= 1, got k = 2, s = 0$", id="run-s-0"),
     pytest.param(lambda: SolveOptions(solver="nope"),
                  "^unknown solver 'nope'; expected one of fixed_point, simplified_newton, "
                  "splitting$", id="options-solver-unknown"),
@@ -115,6 +119,10 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
                  "^require an integer k, got k = 4.0$", id="run-k"),
     pytest.param(lambda: RunConfig(_harmonic, 4, 2.0, 0.1, 1.0),
                  "^require an integer s, got s = 2.0$", id="run-s"),
+    pytest.param(lambda: RunConfig(_harmonic, True, 1, 0.1, 1.0),
+                 "^require an integer k, got k = True$", id="run-k-bool"),
+    pytest.param(lambda: SolveOptions(mu=True), "^require an integer mu, got mu = True$",
+                 id="options-mu-bool"),
     pytest.param(lambda: RunConfig(_harmonic, 4, 2, 0.1, 1.0, store_every=1.5),
                  "^require an integer store_every >= 0, got store_every = 1.5$",
                  id="run-store_every"),
@@ -167,7 +175,29 @@ def test_numpy_integer_counts_are_accepted():
 def test_solvers_without_the_splitting_accept_s_7(solver):
     # only the splitting needs abscissae, which are tabulated up to s = 6
     cfg = RunConfig(_harmonic, 8, 7, 0.1, 0.2, SolveOptions(solver=solver))
-    assert integrate(cfg)[1].all_converged
+    assert cfg.splitting is None and integrate(cfg)[1].all_converged
+
+
+@pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])
+@pytest.mark.parametrize("factory,k,s,h", [(harmonic_oscillator, 4, 2, 0.1),
+                                           (fpu_modified, 6, 3, 0.01)])
+def test_integrate_builds_nothing(monkeypatch, factory, k, s, h, solver):
+    # the config builds the tableau and the splitting data once; every run of
+    # it, the first included, reuses them
+    import hbvm.integrator
+
+    cfg = RunConfig(factory(), k, s, h, 5 * h, SolveOptions(solver=solver))
+    traj, stats = integrate(cfg)
+
+    def refuse(*args):
+        raise AssertionError("integrate built coefficients")
+
+    monkeypatch.setattr(hbvm.integrator, "build_tableau", refuse)
+    monkeypatch.setattr(hbvm.integrator, "build_splitting", refuse)
+    for _ in range(2):
+        again, again_stats = integrate(cfg)
+        assert again.states[-1].tobytes() == traj.states[-1].tobytes()
+        assert dataclasses.asdict(again_stats) == dataclasses.asdict(stats)
 
 
 def test_singular_step_matrix_ends_the_step_before_it_iterates():

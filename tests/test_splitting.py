@@ -51,7 +51,7 @@ def test_abscissae_s6_order_preserved():
 
 @pytest.mark.parametrize("s", [-1, 0, 7])
 def test_build_splitting_rejects_out_of_range_with_the_valid_range(s):
-    with pytest.raises(ValueError, match=f"1 <= s <= 6, got {s}"):
+    with pytest.raises(ValueError, match=f"^the splitting requires 1 <= s <= 6, got s = {s}$"):
         build_splitting(s)
 
 
@@ -171,3 +171,25 @@ def test_verify_conditions_sensitive_to_perturbation():
     perturbed = SplittingData(s=3, chat=chat, Phat=Phat, Ahat=Ahat,
                               L=base.L, U=base.U, d=base.d)
     assert np.max(verify_conditions(perturbed)) > 1e-6
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_shipped_abscissae_solve_the_determinant_conditions(s):
+    # the paper's s - 1 conditions det Ahat_{l+1} - d_s det Ahat_l = 0, which
+    # verify_conditions evaluates, solved for the first s - 1 abscissae with
+    # the shipped last one held fixed, from the shipped values scaled by 1.01
+    from scipy.optimize import fsolve
+
+    data = build_splitting(s)
+    Xs = build_Xhat(s)[:s]
+
+    def conditions(head):
+        chat = np.append(head, data.chat[-1])
+        Phat = legendre_basis(chat, s)
+        Ahat = np.linalg.solve(Phat.T, (Phat @ Xs).T).T
+        return [np.linalg.det(Ahat[:ell + 1, :ell + 1]) - data.d * np.linalg.det(Ahat[:ell, :ell])
+                for ell in range(1, s)]
+
+    # full_output: MINPACK's "no further improvement" at this xtol is no warning
+    head = fsolve(conditions, data.chat[:-1] * 1.01, xtol=1e-15, full_output=True)[0]
+    assert np.max(np.abs(head - data.chat[:-1])) <= 1e-14

@@ -16,6 +16,7 @@ from .convergence import amplification_report
 from .hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
 from .integrator import RunConfig, composition6_run, integrate
 from .nlsolve import SolveOptions
+from .polybasis import require_integer
 from .splitting import build_splitting, verify_conditions
 from .tableau import build_tableau
 
@@ -139,8 +140,7 @@ def _stats_row(args, traj, stats):
 def _plan(args):
     """run() -> (traj, stats), the run args describe; every parameter of it
     is checked here (ValueError)."""
-    if args.every < 0:
-        raise ValueError(f"require --every >= 0, got --every = {args.every}")
+    require_integer("--every", args.every, lo=0)
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
     if args.solver == "composition6":

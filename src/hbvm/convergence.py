@@ -128,9 +128,7 @@ def amplification_report(data, mus=(1, 2, 3)):
     every mu's averaged norm; only those values are kept, not the Z stacks.
     """
     for mu in mus:
-        require_integer("mu", mu)
-    if any(mu < 1 for mu in mus):
-        raise ValueError(f"mu must be positive, got {min(mus)}")
+        require_integer("mu", mu, lo=1)
 
     def reduced(Z):
         return [spectral_radius(Z)] + [_averaged_norm(Z, mu) for mu in mus]

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .polybasis import require_integer
+
 __all__ = [
     "HamiltonianSystem",
     "apply_J",
@@ -46,6 +48,7 @@ class HamiltonianSystem:
     stacked_grad: bool = False
 
     def __post_init__(self):
+        require_integer("m", self.m, lo=1)
         if np.shape(self.y0) != (self.dim,):
             raise ValueError(f"require y0 of shape (2m,) = ({self.dim},), got {np.shape(self.y0)}")
 
@@ -117,16 +120,15 @@ def charged_particle():
         x, y, r2, u, v, w = _uvw(state)
         ax, ay = _slopes(x, y, r2)
         r6 = r2**3
+        # axx, axy = d(ax)/dx, d(ax)/dy; those of y/r2 are d2/dxdy = -axx, d2/dy2 = -axy
         axx = 2.0 * x * (x * x - 3.0 * y * y) / r6
         axy = 2.0 * y * (3.0 * x * x - y * y) / r6
-        byy = 2.0 * y * (y * y - 3.0 * x * x) / r6
-        bxy = 2.0 * x * (3.0 * y * y - x * x) / r6
         # first derivatives of w wrt (x, y); those of (u, v) are the slopes.
         # u_x u_y + v_x v_y = ax ay - ay ax is 0.0, kept for the sign of a zero Hxy
         wx, wy = -x / r2, -y / r2
-        Hxx = ax * ax + ay * ay + wx * wx + u * axx - v * byy - w * ax
-        Hxy = ax * ay - ay * ax + wx * wy + u * axy + v * bxy - w * ay
-        Hyy = ay * ay + ax * ax + wy * wy - u * axx + v * byy + w * ax
+        Hxx = ax * ax + ay * ay + wx * wx + u * axx + v * axy - w * ax
+        Hxy = ax * ay - ay * ax + wx * wy + u * axy - v * axx - w * ay
+        Hyy = ay * ay + ax * ax + wy * wy - u * axx - v * axy + w * ax
         M = np.zeros((6, 6))
         M[0, 0], M[0, 1], M[1, 0], M[1, 1] = Hxx, Hxy, Hxy, Hyy
         M[0, 3], M[0, 4], M[0, 5] = ax, ay, wx

@@ -18,6 +18,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianSystem, separable_hessian
 from .nlsolve import SolveOptions, StageProblem, solve
+from .polybasis import require_integer
 from .splitting import SplittingData, build_splitting
 from .tableau import HbvmTableau, build_tableau
 
@@ -41,8 +42,7 @@ def _check_run(h, t_end, store_every):
     with np.errstate(over="ignore"):  # a numpy scalar quotient warns as it overflows
         if not t_end / h < np.inf:
             raise ValueError(f"require a finite step count t_end / h, got h = {h}, t_end = {t_end}")
-    if not isinstance(store_every, (int, np.integer)) or store_every < 0:
-        raise ValueError(f"require an integer store_every >= 0, got store_every = {store_every!r}")
+    require_integer("store_every", store_every, lo=0)
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,7 @@ class SolveOptions:
         if not 0 < self.tol < np.inf:
             raise ValueError(f"require a finite tol > 0, got tol = {self.tol}")
         for name in ("mu", "max_outer"):
-            value = getattr(self, name)
-            require_integer(name, value)
-            if value < 1:
-                raise ValueError(f"require {name} >= 1, got {name} = {value}")
+            require_integer(name, getattr(self, name), lo=1)
 
 
 @dataclass

@@ -15,11 +15,15 @@ __all__ = ["QuadratureRule", "legendre_basis", "gauss_rule", "xi"]
 MAX_NODES = 50
 
 
-def require_integer(name, value):
-    """ValueError naming the parameter unless value is an int or a numpy integer;
-    a bool is neither (as a numpy index True adds an axis instead of reading 1)."""
+def require_integer(name, value, lo=None, hi=None):
+    """ValueError naming the parameter unless value is an int or a numpy integer
+    (a bool is neither: as a numpy index True adds an axis instead of reading 1)
+    and, when lo is given, lo <= value (<= hi, when hi is given too)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"require an integer {name}, got {name} = {value!r}")
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise ValueError(f"require {bound}, got {name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,7 @@ class QuadratureRule:
 
 def xi(i):
     """Coupling coefficient xi_i = 1 / (2 sqrt(4 i^2 - 1)), i >= 1."""
-    if i < 1:
-        raise ValueError(f"xi requires i >= 1, got {i}")
+    require_integer("i", i, lo=1)
     return 1.0 / (2.0 * np.sqrt(4.0 * i * i - 1.0))
 
 
@@ -70,9 +73,7 @@ def gauss_rule(k):
     seeded with Chebyshev nodes; weights come from the derivative formula
     b_i = 1 / ((1 - t_i^2) L_k'(t_i)^2) on the mapped interval.
     """
-    require_integer("k", k)
-    if not 1 <= k <= MAX_NODES:
-        raise ValueError(f"require 1 <= k <= {MAX_NODES}, got k = {k}")
+    require_integer("k", k, lo=1, hi=MAX_NODES)
     t = np.cos(np.pi * (4 * np.arange(1, k + 1) - 1) / (4 * k + 2))
     for _ in range(100):
         p, dp = _std_legendre_pair(k, t)

@@ -4,10 +4,10 @@ Evaluating the degree-(s-1) polynomial of stage coefficients at s auxiliary
 abscissae chat_i defines a change of unknowns Phat; the transformed matrix
 Ahat = Phat X_s Phat^{-1} then factors as Ahat = L U with unit-diagonal U and
 all diagonal entries of L equal to a single constant d_s. The abscissae that
-make this work are shipped as high-precision constants (they solve s-1
-algebraic determinant conditions coupled with a minimization of the maximum
-amplification factor; re-deriving them is out of scope, verifying them is
-not -- see verify_conditions).
+make this work are shipped as high-precision constants: the last one is the
+paper's tabulated value, and for it the first s-1 solve the s-1 algebraic
+determinant conditions (see verify_conditions; a test recovers them from
+those conditions to 1e-14). Re-deriving the last one is ROADMAP item 9.
 
 SplittingData also carries T = L (U - I): the splitting's inner sweeps apply
 h T (x) B, and hbvm.convergence studies Z(q) = q (I - q L)^{-1} T.

@@ -52,9 +52,7 @@ class HbvmTableau:
 def build_Xhat(s):
     """The (s+1) x s matrix Xhat_s: entry (0,0) = 1/2, subdiagonal xi_1..xi_s,
     superdiagonal -xi_1..-xi_{s-1}."""
-    require_integer("s", s)
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
+    require_integer("s", s, lo=1)
     X = np.zeros((s + 1, s))
     X[0, 0] = 0.5
     for i in range(1, s + 1):
@@ -79,9 +77,7 @@ def _xs_eigen(Xs):
 def det_Xs(s):
     """Closed-form determinant of X_s (Laplace expansion):
     prod xi_{2i-1}^2 for even s, (1/2) prod xi_{2i}^2 for odd s."""
-    require_integer("s", s)
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
+    require_integer("s", s, lo=1)
     if s % 2 == 0:
         return float(np.prod([xi(2 * i - 1) ** 2 for i in range(1, s // 2 + 1)]))
     return float(0.5 * np.prod([xi(2 * i) ** 2 for i in range(1, s // 2 + 1)]))

@@ -21,7 +21,7 @@ from hbvm.integrator import (
     integrate,
 )
 from hbvm.nlsolve import SolveOptions
-from hbvm.polybasis import gauss_rule
+from hbvm.polybasis import gauss_rule, xi
 from hbvm.splitting import build_splitting
 from hbvm.tableau import build_Xhat, build_tableau, det_Xs
 
@@ -99,6 +99,13 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  "^require k >= s >= 1, got k = 1, s = 2$", id="run-k-below-s"),
     pytest.param(lambda: RunConfig(_harmonic, 2, 0, 0.1, 1.0),
                  "^require k >= s >= 1, got k = 2, s = 0$", id="run-s-0"),
+    pytest.param(lambda: dataclasses.replace(_harmonic, m=0, y0=np.zeros(0)),
+                 "^require m >= 1, got m = 0$", id="system-m-0"),
+    pytest.param(lambda: xi(0), "^require i >= 1, got i = 0$", id="xi-i-0"),
+    pytest.param(lambda: build_Xhat(0), "^require s >= 1, got s = 0$", id="Xhat-s-0"),
+    pytest.param(lambda: det_Xs(0), "^require s >= 1, got s = 0$", id="det_Xs-s-0"),
+    pytest.param(lambda: amplification_report(build_splitting(2), (0, 1)),
+                 "^require mu >= 1, got mu = 0$", id="report-first-mu-0"),
     pytest.param(lambda: SolveOptions(solver="nope"),
                  "^unknown solver 'nope'; expected one of fixed_point, simplified_newton, "
                  "splitting$", id="options-solver-unknown"),
@@ -124,7 +131,7 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
     pytest.param(lambda: SolveOptions(mu=True), "^require an integer mu, got mu = True$",
                  id="options-mu-bool"),
     pytest.param(lambda: RunConfig(_harmonic, 4, 2, 0.1, 1.0, store_every=1.5),
-                 "^require an integer store_every >= 0, got store_every = 1.5$",
+                 "^require an integer store_every, got store_every = 1.5$",
                  id="run-store_every"),
     pytest.param(lambda: _comp6(store_every=1.5), "got store_every = 1.5$",
                  id="composition6-store_every"),
@@ -141,6 +148,17 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
                  id="splitting-s-fractional"),
     pytest.param(lambda: amplification_report(build_splitting(2), (1.5,)),
                  "^require an integer mu, got mu = 1.5$", id="report-mu"),
+    pytest.param(lambda: dataclasses.replace(_harmonic, m=1.5, y0=np.zeros(3)),
+                 "^require an integer m, got m = 1.5$", id="system-m"),
+    pytest.param(lambda: dataclasses.replace(_harmonic, m=True),
+                 "^require an integer m, got m = True$", id="system-m-bool"),
+    pytest.param(lambda: RunConfig(_harmonic, 4, 2, 0.1, 1.0, store_every=True),
+                 "^require an integer store_every, got store_every = True$",
+                 id="run-store_every-bool"),
+    pytest.param(lambda: _comp6(store_every=True),
+                 "^require an integer store_every, got store_every = True$",
+                 id="composition6-store_every-bool"),
+    pytest.param(lambda: xi(1.5), "^require an integer i, got i = 1.5$", id="xi-i"),
 ])
 def test_non_integral_counts_are_rejected_by_name(make, message):
     # a float count passed the range checks and then failed mid-run (range,

@@ -3,7 +3,7 @@ with an efficient triangular-splitting solver for the stage equations."""
 
 from .convergence import amplification_report
 from .hamiltonian import HamiltonianSystem, charged_particle, fpu_modified, harmonic_oscillator
-from .integrator import RunConfig, composition6_stormer_verlet, integrate
+from .integrator import RunConfig, integrate
 from .nlsolve import SolveOptions, StageProblem
 from .polybasis import gauss_rule
 from .splitting import build_splitting, verify_conditions

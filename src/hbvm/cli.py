@@ -14,8 +14,8 @@ import numpy as np
 
 from .convergence import amplification_report
 from .hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
-from .integrator import RunConfig, composition6_run, integrate
-from .nlsolve import SolveOptions
+from .integrator import RunConfig, integrate
+from .nlsolve import _SOLVERS, SolveOptions
 from .polybasis import require_integer
 from .splitting import build_splitting, verify_conditions
 from .tableau import build_tableau
@@ -35,7 +35,7 @@ _RUN_PARAMS = {
     "h": ("--h", float, None, None, True),
     "t_end": ("--t-end", float, 10.0, None, True),
     "solver": ("--solver", str, SolveOptions.solver.replace("_", "-"),
-               ("fixed-point", "simplified-newton", "splitting", "composition6"), False),
+               tuple(name.replace("_", "-") for name in _SOLVERS), False),
     "mu": ("--mu", int, SolveOptions.mu, None, False),
     "tol": ("--tol", float, SolveOptions.tol, None, False),
     "max_outer": ("--max-outer", int, SolveOptions.max_outer, None, False),
@@ -113,21 +113,16 @@ def _solve_options(args):
 
 def _stats_row(args, traj, stats):
     """The values of the STATS_HEADER row of the run args describe, which made
-    traj and stats. composition6 has no k, s, mu or tol (_plan checks none for
-    it), so its row leaves them empty. sol_err, the error against the closed-form
-    flow at traj's last time, exists for the harmonic oscillator only; a run
-    that made no step leaves ham_err and sol_err empty."""
-    is_hbvm = args.solver != "composition6"
+    traj and stats. sol_err, the error against the closed-form flow at traj's
+    last time, exists for the harmonic oscillator only; a run that made no
+    step leaves ham_err and sol_err empty."""
     sol_err = ""
     if args.problem == "harmonic" and stats.steps:
         t, w = traj.times[-1], args.omega
         exact = np.array([np.cos(w * t), -w * np.sin(w * t)])
         sol_err = float(np.linalg.norm(traj.states[-1] - exact) / (1 + np.linalg.norm(exact)))
     return [
-        "hbvm" if is_hbvm else "composition6",
-        *((args.k, args.s) if is_hbvm else ("", "")),
-        args.h, args.t_end, args.solver,
-        *((args.mu, args.tol) if is_hbvm else ("", "")),
+        "hbvm", args.k, args.s, args.h, args.t_end, args.solver, args.mu, args.tol,
         stats.steps,
         stats.total_outer_iterations if stats.all_converged else "***",
         stats.total_inner_iterations,
@@ -138,21 +133,18 @@ def _stats_row(args, traj, stats):
 
 
 def _plan(args):
-    """run() -> (traj, stats), the run args describe; every parameter of it
-    is checked here (ValueError)."""
+    """The RunConfig of the run args describe; every parameter of it is
+    checked here (ValueError)."""
     require_integer("--every", args.every, lo=0)
     factory = PROBLEMS[args.problem]
     system = factory(args.omega) if args.problem == "harmonic" else factory()
-    if args.solver == "composition6":
-        return composition6_run(system, args.h, args.t_end, args.every)
-    cfg = RunConfig(system=system, k=args.k, s=args.s, h=args.h,
-                    t_end=args.t_end, options=_solve_options(args),
-                    store_every=args.every)
-    return lambda: integrate(cfg)
+    return RunConfig(system=system, k=args.k, s=args.s, h=args.h,
+                     t_end=args.t_end, options=_solve_options(args),
+                     store_every=args.every)
 
 
 def cmd_integrate(args):
-    traj, stats = _plan(args)()
+    traj, stats = integrate(_plan(args))
     if args.out:
         header = [["t"] + [f"y{i+1}" for i in range(traj.states.shape[1])]]
         _write(args.out, _rows_to_csv(header + [[t, *y] for t, y in zip(traj.times, traj.states)]))
@@ -192,13 +184,13 @@ def cmd_sweep(args):
         print(f"error: cannot read spec: {e}", file=sys.stderr)
         return 3
     planned = [_sweep_run(ln, block) for ln, block in _parse_sweep_spec(text)]
-    rows = [_stats_row(run_args, *run()) for run_args, run in planned]
+    rows = [_stats_row(run_args, *integrate(cfg)) for run_args, cfg in planned]
     _write(args.out, STATS_HEADER + "\n" + _rows_to_csv(rows))
     return 0
 
 
 def _sweep_run(ln, block):
-    """(args, run) of the [run] block whose header is at line ln. An error
+    """(args, cfg) of the [run] block whose header is at line ln. An error
     that names no line of its own, the missing h or any of _plan's, names ln."""
     args = _sweep_args(block)
     try:

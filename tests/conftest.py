@@ -1,5 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# the test modules and the demos run by test_demos import demos/composition6.py,
+# the explicit baseline, as `composition6`, as a demo run as a script does
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "demos"))
 
 from hbvm.hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
 from hbvm.splitting import build_splitting

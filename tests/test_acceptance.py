@@ -9,15 +9,12 @@ import time
 
 import numpy as np
 import pytest
+from composition6 import composition6_stormer_verlet  # demos/composition6.py
 
 from hbvm.cli import main as cli_main
 from hbvm.convergence import amplification_report
 from hbvm.hamiltonian import charged_particle, fpu_modified, harmonic_oscillator
-from hbvm.integrator import (
-    RunConfig,
-    composition6_stormer_verlet,
-    integrate,
-)
+from hbvm.integrator import RunConfig, integrate
 from hbvm.nlsolve import (
     SolveOptions,
     StageProblem,
@@ -269,7 +266,7 @@ def test_09_composition_baseline_divergence(report):
 
     def check():
         for h in (2e-4, 4e-4, 5e-4):
-            _, st = composition6_stormer_verlet(sysm, h, 10.0, store_every=0)
+            st = composition6_stormer_verlet(sysm, h, 10.0)
             if not st.diverged:
                 return False, f"no divergence at h={h}"
         return True, "diverged at h=2e-4, 4e-4, 5e-4"
@@ -283,7 +280,7 @@ def test_09b_composition_baseline_accuracy(report):
     sysm = fpu_modified()
 
     def check():
-        _, st = composition6_stormer_verlet(sysm, 1e-5, 10.0, store_every=0)
+        st = composition6_stormer_verlet(sysm, 1e-5, 10.0)
         rel = st.max_hamiltonian_error / abs(sysm.H(sysm.y0))
         return (not st.diverged) and 9.2e-8 / 5 <= rel <= 9.2e-8 * 5, f"rel {rel:.2e}"
     (ok, detail), dt = _timed(check)

@@ -154,23 +154,14 @@ def test_integrate_nonconvergence_is_a_result(capsys):
     assert cols["converged"] == "false"
 
 
-def test_integrate_composition6(capsys):
-    code, out, _ = run_cli(capsys, "integrate", "--problem", "harmonic",
-                           "--h", "0.1", "--t-end", "1.0",
-                           "--solver", "composition6", "--every", "0")
-    assert code == 0
-    row = out.strip().splitlines()[1].split(",")
-    cols = dict(zip(STATS_HEADER.split(","), row))
-    assert cols["method"] == "composition6"
-    assert float(cols["sol_err"]) < 1e-6  # order 6 at h = 0.1
-
-
-@pytest.mark.parametrize("h,t_end", [("0", "1.0"), ("0.1", "-1.0")])
-def test_integrate_composition6_rejects_nonpositive_h_and_t_end(capsys, h, t_end):
-    code, _, err = run_cli(capsys, "integrate", "--problem", "harmonic",
-                           "--h", h, "--t-end", t_end, "--solver", "composition6")
-    assert code == 2
-    assert "require h > 0 and t_end > 0" in err
+def test_integrate_offers_the_three_stage_solvers_only(capsys):
+    # the explicit composition baseline is no solver of hbvm
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", *_HARMONIC, "--solver", "composition6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --solver: invalid choice: 'composition6'" in err
+    assert all(name in err for name in ("fixed-point", "simplified-newton", "splitting"))
 
 
 SWEEP_SPEC = """\
@@ -213,6 +204,20 @@ def test_integrate_and_sweep_print_the_same_row(tmp_path, capsys, every):
     integrated = run_cli(capsys, "integrate", *_HARMONIC, "-k", "4", "-s", "2", "--every", every)
     assert swept == integrated
     assert swept[1].splitlines()[1].split(",")[-2] != ""
+
+
+@pytest.mark.parametrize("solver", ["fixed-point", "simplified-newton", "splitting"])
+def test_every_solver_prints_an_hbvm_row(tmp_path, capsys, solver):
+    # integrate and a sweep block run the same RunConfig; the method column
+    # names the integrator, the solver column the stage solver
+    spec = tmp_path / "sweep.txt"
+    spec.write_text(f"[run]\nproblem = harmonic\nh = 0.1\nt_end = 1\nsolver = {solver}\n")
+    swept = run_cli(capsys, "sweep", str(spec))
+    integrated = run_cli(capsys, "integrate", *_HARMONIC, "--solver", solver)
+    assert swept == integrated
+    cols = dict(zip(STATS_HEADER.split(","), _csv_rows(swept[1])[1]))
+    assert (swept[0], cols["method"], cols["solver"], cols["converged"]) == (
+        0, "hbvm", solver, "true")
 
 
 def test_sweep_deterministic(tmp_path, capsys):
@@ -301,14 +306,14 @@ def test_sweep_names_the_key_value_and_line_it_cannot_read(tmp_path, capsys, bad
 @pytest.mark.parametrize("bad_block,message", [
     ("k = 1\ns = 2\nh = 0.1\n", "require k >= s >= 1, got k = 1, s = 2"),
     ("omega = -1\nh = 0.1\n", "omega must be positive"),
-    ("solver = composition6\nh = -0.1\n", "require h > 0 and t_end > 0"),
+    ("h = -0.1\n", "require h > 0 and t_end > 0"),
     ("h = 0.1\nt_end = inf\n", "t_end = inf"),
     ("h = 1e-310\nt_end = 1e300\n", "error: sweep spec [run] block at line 5: require a finite "
                                    "step count t_end / h, got h = 1e-310, t_end = 1e+300\n"),
     ("k = 8\ns = 7\nh = 0.1\n", "the splitting requires 1 <= s <= 6, got s = 7"),
     ("k = 60\nh = 0.1\n", "require 1 <= k <= 50, got k = 60"),
-    ("problem = charged-particle\nsolver = composition6\nh = 0.1\n",
-     "block at line 5: composition method requires a separable Hamiltonian"),
+    ("solver = composition6\nh = 0.1\n",
+     "error: sweep spec key 'solver' at line 6: unknown solver 'composition6'\n"),
     ("omega = -1\nh = 0.1\n", "error: sweep spec [run] block at line 5: "
                               "omega must be positive and finite, got omega = -1.0\n"),
 ])
@@ -334,12 +339,19 @@ _HARMONIC = ["--problem", "harmonic", "--h", "0.1", "--t-end", "1"]
     pytest.param(["--problem", "harmonic", "--h", "nan", "--t-end", "1"], "h = nan",
                  id="h-nan"),
     pytest.param(["--problem", "fpu", "--h", "inf", "--t-end", "1"], "h = inf", id="fpu-h-inf"),
+    pytest.param(["--problem", "harmonic", "--h", "0", "--t-end", "1.0"],
+                 "require h > 0 and t_end > 0, both finite; got h = 0.0", id="h-0"),
+    pytest.param(["--problem", "harmonic", "--h", "0.1", "--t-end", "-1.0"],
+                 "require h > 0 and t_end > 0, both finite; got t_end = -1.0",
+                 id="t_end-negative"),
+    pytest.param(["--problem", "harmonic", "--h", "-0.1", "--t-end", "1.0"],
+                 "require h > 0 and t_end > 0, both finite; got h = -0.1", id="h-negative"),
+    pytest.param(["--problem", "harmonic", "--h", "0.1", "--t-end", "0"],
+                 "require h > 0 and t_end > 0, both finite; got t_end = 0.0", id="t_end-0"),
     pytest.param(_HARMONIC + ["--tol", "nan"], "tol = nan", id="tol-nan"),
     pytest.param(_HARMONIC + ["--omega", "nan"], "omega = nan", id="omega-nan"),
     pytest.param(_HARMONIC + ["--every", "-1"], "require --every >= 0, got --every = -1",
                  id="every-negative"),
-    pytest.param(_HARMONIC + ["--every", "-1", "--solver", "composition6"],
-                 "require --every >= 0, got --every = -1", id="composition6-every-negative"),
     pytest.param(_HARMONIC + ["--mu", "0"], "require mu >= 1, got mu = 0", id="mu-0"),
     pytest.param(_HARMONIC + ["--mu", "-2"], "require mu >= 1, got mu = -2", id="mu-negative"),
     pytest.param(_HARMONIC + ["--max-outer", "0"], "require max_outer >= 1, got max_outer = 0",
@@ -349,33 +361,6 @@ def test_integrate_rejects_nonfinite_and_negative_parameters(capsys, argv, messa
     code, out, err = run_cli(capsys, "integrate", *argv)
     assert (code, out) == (2, "")
     assert message in err
-
-
-_HBVM_COLUMNS = ("method", "k", "s", "mu", "tol")
-
-
-def test_integrate_composition6_row_leaves_k_s_mu_tol_empty(capsys):
-    # composition6 has none of them and none is checked for it
-    code, out, _ = run_cli(capsys, "integrate", *_HARMONIC, "--solver", "composition6",
-                           "--tol", "nan", "--mu", "0", "-k", "1", "-s", "5")
-    assert code == 0
-    cols = dict(zip(STATS_HEADER.split(","), out.strip().splitlines()[1].split(",")))
-    assert [cols[c] for c in _HBVM_COLUMNS] == ["composition6", "", "", "", ""]
-    assert cols["converged"] == "true"
-
-
-def test_sweep_composition6_row_leaves_k_s_mu_tol_empty(tmp_path, capsys):
-    spec = tmp_path / "sweep.txt"
-    spec.write_text("[run]\nsolver = composition6\nh = 0.1\nt_end = 1\n"
-                    "k = 1\ns = 5\nmu = 0\ntol = nan\n\n[run]\nh = 0.1\nt_end = 1\n")
-    code, out, _ = run_cli(capsys, "sweep", str(spec))
-    assert code == 0
-    header, *rows = out.strip().splitlines()
-    cols = [dict(zip(header.split(","), row.split(","))) for row in rows]
-    assert [[c[k] for k in _HBVM_COLUMNS] for c in cols] == [
-        ["composition6", "", "", "", ""],
-        ["hbvm", "2", "2", str(SolveOptions.mu), format(SolveOptions.tol, ".17g")],
-    ]
 
 
 def test_integrate_and_sweep_default_to_solve_options():
@@ -402,14 +387,12 @@ def test_unknown_subcommand_exits_2(capsys):
 
 # runs that end unconverged before their first step: no energy error to report
 ZERO_STEP_RUNS = [
-    (["--problem", "fpu", "--solver", "composition6", "--h", "0.001", "--t-end", "0.01"],
-     "composition6,,,0.001,0.01,composition6,,,0,***,0,,,false"),
     (["--problem", "fpu", "-k", "6", "-s", "3", "--h", "0.1", "--t-end", "1",
       "--solver", "fixed-point", "--max-outer", "1", "--every", "0"],
      "hbvm,6,3,0.10000000000000001,1,fixed-point,2,1e-13,0,***,0,,,false"),
     (["--problem", "harmonic", "--omega", "100", "--h", "0.1", "--t-end", "1",
-      "--solver", "composition6"],
-     "composition6,,,0.10000000000000001,1,composition6,,,0,***,0,,,false"),
+      "--solver", "fixed-point"],
+     "hbvm,2,2,0.10000000000000001,1,fixed-point,2,1e-13,0,***,0,,,false"),
 ]
 
 
@@ -421,11 +404,10 @@ def test_integrate_zero_step_row_leaves_ham_err_empty(capsys, argv, row):
 
 def test_sweep_zero_step_rows_leave_ham_err_empty(tmp_path, capsys):
     spec = tmp_path / "sweep.txt"
-    spec.write_text("[run]\nproblem = fpu\nsolver = composition6\nh = 0.001\nt_end = 0.01\n\n"
-                    "[run]\nproblem = fpu\nk = 6\ns = 3\nh = 0.1\nt_end = 1\n"
+    spec.write_text("[run]\nproblem = fpu\nk = 6\ns = 3\nh = 0.1\nt_end = 1\n"
                     "solver = fixed-point\nmax_outer = 1\n\n"
                     "[run]\nproblem = harmonic\nomega = 100\nh = 0.1\nt_end = 1\n"
-                    "solver = composition6\n")
+                    "solver = fixed-point\n")
     code, out, _ = run_cli(capsys, "sweep", str(spec))
     assert (code, out) == (0, "".join(line + "\n" for line in
                                       [STATS_HEADER] + [row for _, row in ZERO_STEP_RUNS]))

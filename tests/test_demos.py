@@ -20,8 +20,8 @@ DEMOS = ROOT / "demos"
 
 ENTRY_POINTS = [
     "HamiltonianSystem", "RunConfig", "SolveOptions", "StageProblem", "amplification_report",
-    "build_splitting", "build_tableau", "charged_particle", "composition6_stormer_verlet",
-    "fpu_modified", "gauss_rule", "harmonic_oscillator", "integrate", "verify_conditions",
+    "build_splitting", "build_tableau", "charged_particle", "fpu_modified", "gauss_rule",
+    "harmonic_oscillator", "integrate", "verify_conditions",
 ]
 
 

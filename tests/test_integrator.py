@@ -5,22 +5,9 @@ import numpy as np
 import pytest
 
 from hbvm.convergence import amplification_report
-from hbvm.hamiltonian import (
-    HamiltonianSystem,
-    charged_particle,
-    fpu_modified,
-    harmonic_oscillator,
-    separable_hessian,
-)
-from hbvm.integrator import (
-    DIVERGENCE_THRESHOLD,
-    RunConfig,
-    RunStats,
-    _march,
-    composition6_stormer_verlet,
-    integrate,
-)
-from hbvm.nlsolve import SolveOptions
+from hbvm.hamiltonian import HamiltonianSystem, charged_particle, fpu_modified, harmonic_oscillator
+from hbvm.integrator import RunConfig, integrate
+from hbvm.nlsolve import SolveOptions, SolveResult
 from hbvm.polybasis import gauss_rule, xi
 from hbvm.splitting import build_splitting
 from hbvm.tableau import build_Xhat, build_tableau, det_Xs
@@ -57,10 +44,6 @@ def test_run_config_validation():
 _harmonic = harmonic_oscillator()
 
 
-def _comp6(h=0.1, t_end=1.0, store_every=1):
-    return composition6_stormer_verlet(_harmonic, h, t_end, store_every=store_every)
-
-
 @pytest.mark.parametrize("make,message", [
     pytest.param(lambda: RunConfig(_harmonic, 2, 2, np.nan, 1.0), "h = nan", id="run-h-nan"),
     pytest.param(lambda: RunConfig(_harmonic, 2, 2, np.inf, 1.0), "h = inf", id="run-h-inf"),
@@ -70,6 +53,22 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  id="run-t_end-inf"),
     pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, 1.0, store_every=-1),
                  "store_every = -1", id="run-store_every-negative"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.0, 1.0),
+                 "^require h > 0 and t_end > 0, both finite; got h = 0.0$", id="run-h-0"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, -0.0, 1.0),
+                 "^require h > 0 and t_end > 0, both finite; got h = -0.0$",
+                 id="run-h-negative-zero"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, -0.1, 1.0),
+                 "^require h > 0 and t_end > 0, both finite; got h = -0.1$",
+                 id="run-h-negative"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, 0.0),
+                 "^require h > 0 and t_end > 0, both finite; got t_end = 0.0$", id="run-t_end-0"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, 0.1, -1.0),
+                 "^require h > 0 and t_end > 0, both finite; got t_end = -1.0$",
+                 id="run-t_end-negative"),
+    pytest.param(lambda: RunConfig(_harmonic, 2, 2, -0.1, np.nan),
+                 "^require h > 0 and t_end > 0, both finite; got h = -0.1$",
+                 id="run-h-named-first"),
     pytest.param(lambda: RunConfig(_harmonic, 2, 2, 1e-310, 1e300),
                  r"^require a finite step count t_end / h, got h = 1e-310, t_end = 1e\+300$",
                  id="run-step-count-overflows"),
@@ -80,15 +79,6 @@ def _comp6(h=0.1, t_end=1.0, store_every=1):
                  id="options-mu-negative"),
     pytest.param(lambda: SolveOptions(max_outer=0), "^require max_outer >= 1, got max_outer = 0$",
                  id="options-max_outer-0"),
-    pytest.param(lambda: _comp6(h=np.nan), "h = nan", id="composition6-h-nan"),
-    pytest.param(lambda: _comp6(h=np.inf), "h = inf", id="composition6-h-inf"),
-    pytest.param(lambda: _comp6(t_end=np.nan), "t_end = nan", id="composition6-t_end-nan"),
-    pytest.param(lambda: _comp6(t_end=np.inf), "t_end = inf", id="composition6-t_end-inf"),
-    pytest.param(lambda: _comp6(store_every=-1), "store_every = -1",
-                 id="composition6-store_every-negative"),
-    pytest.param(lambda: _comp6(h=np.float64(1e-310), t_end=np.float64(1e300)),
-                 r"^require a finite step count t_end / h, got h = 1e-310, t_end = 1e\+300$",
-                 id="composition6-step-count-overflows"),
     pytest.param(lambda: harmonic_oscillator(np.nan), "omega = nan", id="harmonic-omega-nan"),
     pytest.param(lambda: harmonic_oscillator(np.inf), "omega = inf", id="harmonic-omega-inf"),
     pytest.param(lambda: RunConfig(_harmonic, 60, 2, 0.1, 1.0),
@@ -133,8 +123,6 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
     pytest.param(lambda: RunConfig(_harmonic, 4, 2, 0.1, 1.0, store_every=1.5),
                  "^require an integer store_every, got store_every = 1.5$",
                  id="run-store_every"),
-    pytest.param(lambda: _comp6(store_every=1.5), "got store_every = 1.5$",
-                 id="composition6-store_every"),
     pytest.param(lambda: gauss_rule(4.0), "^require an integer k, got k = 4.0$", id="gauss-k"),
     pytest.param(lambda: build_tableau(4.0, 2), "^require an integer k, got k = 4.0$",
                  id="tableau-k"),
@@ -155,9 +143,6 @@ def test_nonfinite_and_negative_run_parameters_are_named(make, message):
     pytest.param(lambda: RunConfig(_harmonic, 4, 2, 0.1, 1.0, store_every=True),
                  "^require an integer store_every, got store_every = True$",
                  id="run-store_every-bool"),
-    pytest.param(lambda: _comp6(store_every=True),
-                 "^require an integer store_every, got store_every = True$",
-                 id="composition6-store_every-bool"),
     pytest.param(lambda: xi(1.5), "^require an integer i, got i = 1.5$", id="xi-i"),
 ])
 def test_non_integral_counts_are_rejected_by_name(make, message):
@@ -168,16 +153,12 @@ def test_non_integral_counts_are_rejected_by_name(make, message):
 
 
 @pytest.mark.parametrize("factory,dim,n", [(harmonic_oscillator, 2, 3), (fpu_modified, 28, 27)])
-@pytest.mark.parametrize("run", [
-    lambda sysm: integrate(RunConfig(sysm, 2, 1, 0.1, 0.2)),
-    lambda sysm: composition6_stormer_verlet(sysm, 0.1, 0.2),
-], ids=["integrate", "composition6"])
-def test_a_y0_not_of_length_2m_is_rejected_by_name(factory, dim, n, run):
+def test_a_y0_not_of_length_2m_is_rejected_by_name(factory, dim, n):
     # HamiltonianSystem checks y0 when it is made; unchecked, a run failed in H
-    # on an unpacking, at step 1 on the dimension, or in a substep on a broadcast
+    # on an unpacking or at step 1 on the dimension
     message = rf"^require y0 of shape \(2m,\) = \({dim},\), got \({n},\)$"
     with pytest.raises(ValueError, match=message):
-        run(dataclasses.replace(factory(), y0=np.zeros(n)))
+        integrate(RunConfig(dataclasses.replace(factory(), y0=np.zeros(n)), 2, 1, 0.1, 0.2))
 
 
 def test_numpy_integer_counts_are_accepted():
@@ -254,35 +235,61 @@ def test_store_every_zero_keeps_endpoints():
     (0.01, 256.16, 25616),
     (1.0, 1e-13, 1),  # t_end / h below an absolute 1e-12 slack
 ])
-def test_step_count_is_ceil_of_t_end_over_h(h, t_end, steps):
-    traj, stats = _march(_harmonic, h, t_end, 0, lambda y, stats: y, RunStats())
-    assert stats.steps == steps
+def test_step_count_is_ceil_of_t_end_over_h(monkeypatch, h, t_end, steps):
+    # every stage solve converges at once to a zero increment
+    import hbvm.integrator
+
+    cfg = RunConfig(_harmonic, 2, 2, h, t_end, store_every=0)
+    zero = SolveResult(np.zeros((cfg.s, _harmonic.dim)), 0, 0, True, 0.0)
+    monkeypatch.setattr(hbvm.integrator, "solve", lambda *args, **kwargs: zero)
+    traj, stats = integrate(cfg)
+    assert (stats.steps, stats.all_converged) == (steps, True)
     assert traj.times.tolist() == [0.0, steps * h]
 
 
-_STORING_RUNS = {
-    "integrate": lambda system, h, store_every, opts: integrate(
-        RunConfig(system, 2, 2, h, 1.0, options=opts, store_every=store_every)),
-    "composition6": lambda system, h, store_every, opts: composition6_stormer_verlet(
-        system, h, 1.0, store_every),
-}
-
-
-@pytest.mark.parametrize("method", sorted(_STORING_RUNS))
 @pytest.mark.parametrize("system,store_every,opts,times", [
     (_harmonic, 5, SolveOptions(), [0.0, 0.5, 1.0]),
     (_harmonic, 3, SolveOptions(), [0.0, 0.3, 0.6, 0.9, 1.0]),
     (_harmonic, 1000, SolveOptions(), [0.0, 1.0]),
-    # fails on its first step, by non-convergence or by divergence
+    # fails on its first step by non-convergence
     (harmonic_oscillator(100.0), 0, SolveOptions(solver="fixed_point", max_outer=1), [0.0]),
-], ids=["5", "3", "1000", "zero-step"])
-def test_store_every_strides(method, system, store_every, opts, times):
+    (_harmonic, 1, SolveOptions(), np.arange(11) * 0.1),
+    (_harmonic, 4, SolveOptions(), [0.0, 0.4, 0.8, 1.0]),
+    (_harmonic, 10, SolveOptions(), [0.0, 1.0]),  # the last stored state is the end
+], ids=["5", "3", "1000", "zero-step", "1", "4", "10"])
+def test_store_every_strides(system, store_every, opts, times):
     # y0, every store_every-th state and, once, the state the run ended at
-    run = _STORING_RUNS[method]
-    traj, _ = run(system, 0.1, store_every, opts)
+    def run(store_every):
+        return integrate(RunConfig(system, 2, 2, 0.1, 1.0, options=opts,
+                                   store_every=store_every))[0]
+
+    traj = run(store_every)
     assert traj.times == pytest.approx(times)
     assert len(traj.states) == len(times)
-    assert np.array_equal(traj.states[-1], run(system, 0.1, 1, opts)[0].states[-1])
+    assert np.array_equal(traj.states[-1], run(1).states[-1])
+
+
+@pytest.mark.parametrize("store_every,stored", [(0, [0, 4]), (1, [0, 1, 2, 3, 4]), (2, [0, 2, 4]),
+                                               (3, [0, 3, 4])])
+def test_a_run_that_fails_mid_way_ends_its_trajectory_once(monkeypatch, store_every, stored):
+    # the fifth stage solve fails: the run keeps its four steps, the work of
+    # all five solves and, once, the state after step 4
+    import hbvm.integrator
+
+    cfg = RunConfig(_harmonic, 2, 2, 0.1, 1.0, store_every=store_every)
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(None)
+        return SolveResult(np.ones((cfg.s, _harmonic.dim)), 3, 0, len(calls) < 5, 0.0)
+
+    monkeypatch.setattr(hbvm.integrator, "solve", solve)
+    traj, stats = integrate(cfg)
+    assert (len(calls), stats.steps, stats.total_outer_iterations) == (5, 4, 15)
+    assert (stats.all_converged, stats.failed_at) == (False, 4 * 0.1)
+    assert traj.times.tolist() == [n * 0.1 for n in stored]
+    assert len(traj.states) == len(stored)
+    assert traj.states[-1] == pytest.approx(_harmonic.y0 + 0.4)
 
 
 @pytest.mark.parametrize("solver", ["fixed_point", "simplified_newton", "splitting"])
@@ -429,7 +436,7 @@ def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj, stats = integrate(cfg)
-    assert not stats.all_converged and not stats.diverged
+    assert not stats.all_converged
     assert stats.steps == 2 and stats.failed_at == 2 * h
     assert np.array_equal(traj.times, [0.0, h, 2 * h]) and np.all(np.isfinite(traj.states))
     assert stats.hessian_evaluations == calls["hess"] == 3 * hess_per_step
@@ -465,103 +472,3 @@ def test_convergence_order(k, s, h0, lo, hi):
     errs = order_errors(sysm, k, s, [h0, h0 / 2, h0 / 4], 2.0, _harmonic_exact(1.0))
     for e1, e2 in zip(errs, errs[1:]):
         assert lo < e1 / e2 < hi
-
-
-# ---------------------------------------------------------------------------
-# explicit order-6 composition baseline
-
-def test_composition6_order():
-    sysm = harmonic_oscillator(1.0)
-    errs = []
-    for h in (0.4, 0.2):
-        traj, stats = composition6_stormer_verlet(sysm, h, 4.0, store_every=0)
-        assert not stats.diverged
-        errs.append(np.linalg.norm(traj.states[-1] - _harmonic_exact(1.0)(traj.times[-1])))
-    assert 40.0 < errs[0] / errs[1] < 100.0  # ~2^6
-
-
-def test_composition6_evaluation_count():
-    _, stats = composition6_stormer_verlet(harmonic_oscillator(), 0.1, 1.0)
-    assert stats.steps == 10
-    assert stats.gradient_evaluations == 18 * 10
-
-
-def test_composition6_linear_stability_window():
-    # stable below h*omega ~ 1.59, diverges above
-    stable = composition6_stormer_verlet(harmonic_oscillator(100.0), 0.015, 10.0,
-                                         store_every=0)[1]
-    assert not stable.diverged
-    blown = composition6_stormer_verlet(harmonic_oscillator(100.0), 0.017, 10.0,
-                                        store_every=0)[1]
-    assert blown.diverged
-    assert blown.failed_at is not None
-
-
-def test_composition6_divergence_emits_no_warning():
-    # at h = 5e-4 the chain blows up to a huge but finite state, whose norm
-    # overflows; that is recorded as divergence, not warned about
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        _, stats = composition6_stormer_verlet(fpu_modified(), 5e-4, 10.0, store_every=0)
-    assert stats.diverged
-
-
-@pytest.mark.parametrize("system,h", [(harmonic_oscillator(100.0), 0.017),
-                                      (fpu_modified(), 5e-4)])
-def test_composition6_divergence_keeps_last_finite_state(system, h):
-    # endpoints only: the stored end is the state at failed_at, the same one
-    # a run storing every step ends with, not the blown-up one
-    traj, stats = composition6_stormer_verlet(system, h, 10.0, store_every=0)
-    full, _ = composition6_stormer_verlet(system, h, 10.0, store_every=1)
-    assert stats.diverged and not stats.all_converged
-    assert traj.times[-1] == stats.failed_at == stats.steps * h == full.times[-1]
-    assert np.array_equal(traj.states[-1], full.states[-1])
-    assert np.all(np.isfinite(traj.states[-1]))
-    assert np.linalg.norm(traj.states[-1]) <= DIVERGENCE_THRESHOLD
-
-
-@pytest.mark.parametrize("h,t_end", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0), (0.1, 0.0)])
-def test_composition6_rejects_nonpositive_h_and_t_end(h, t_end):
-    with pytest.raises(ValueError, match="require h > 0 and t_end > 0"):
-        composition6_stormer_verlet(harmonic_oscillator(), h, t_end)
-
-
-def test_composition6_counters_match_real_calls():
-    # 18 force evaluations per step and one Hessian for the separability test
-    sysm, calls = _counting(fpu_modified(), True)
-    _, stats = composition6_stormer_verlet(sysm, 1e-4, 1e-3)
-    assert stats.steps == 10
-    assert stats.gradient_evaluations == calls["grad"] == 180
-    assert stats.hessian_evaluations == calls["hess"] == 1
-
-
-@pytest.mark.parametrize("i,j,value", [(0, 14, 1e-300), (14, 0, 1e-300),
-                                       (15, 15, np.nextafter(1.0, 2.0))])
-def test_composition6_separability_is_the_step_factor_predicate(i, j, value):
-    # the entries that send _step_factors down the dense path (see
-    # test_nlsolve) fail the shared predicate, so the composition rejects them
-    base = fpu_modified()
-
-    def hess(y):
-        M = base.hess(y)
-        M[i, j] = value
-        return M
-
-    sysm = dataclasses.replace(base, hess=hess)
-    assert separable_hessian(base.hess(base.y0))
-    assert not separable_hessian(sysm.hess(sysm.y0))
-    with pytest.raises(ValueError, match="separable"):
-        composition6_stormer_verlet(sysm, 1e-4, 1e-3)
-
-
-def test_composition6_rejects_nonseparable_hamiltonian():
-    # the magnetic-field problem couples momenta to positions
-    with pytest.raises(ValueError):
-        composition6_stormer_verlet(charged_particle(), 0.01, 1.0)
-
-
-def test_composition6_fpu_short_run_conserves_energy():
-    sysm = fpu_modified()
-    _, stats = composition6_stormer_verlet(sysm, 1e-5, 0.01, store_every=0)
-    assert not stats.diverged
-    assert stats.max_hamiltonian_error / abs(sysm.H(sysm.y0)) < 2e-7

@@ -66,10 +66,12 @@ def apply_J(v):
 
 def separable_hessian(hess):
     """True when the momentum rows and columns of hess are exactly [0 | I],
-    as for H = |p|^2/2 + V(q) (unit mass); no tolerance."""
+    as for H = |p|^2/2 + V(q) (unit mass); no tolerance. The momentum rows
+    are [0 | I] when the diagonal of I is all 1.0 and the rows hold no other
+    nonzero entry: no identity is formed."""
     m = hess.shape[0] // 2
-    return not np.any(hess[m:, :m]) and not np.any(hess[:m, m:]) \
-        and np.array_equal(hess[m:, m:], np.eye(m))
+    return bool(np.all(hess[m:, m:].diagonal() == 1.0)
+                and np.count_nonzero(hess[m:]) == m and not np.any(hess[:m, m:]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,29 +18,41 @@ cap is spent, and return the last iterate. A solver supplies only its step:
     and one complex one per conjugate pair, ceil(s/2) in all; serves as the
     convergence oracle for the splitting
   * splitting_solve        -- in the transformed unknowns gammahat = Phat
-    gamma, mu inner sweeps per step (_inner_iteration), each a block
-    forward substitution against a single factored matrix
-    I - h d_s J hess H(y0); the final gammahat is mapped to gamma once.
+    gamma, mu inner sweeps per step (_inner_iteration), each a solve of the
+    block lower-triangular system [I - h L (x) B] D = rhs against one factor
+    made per step (sweep_factor); the final gammahat is mapped to gamma once.
 
 solve dispatches on SolveOptions.solver. The splitting needs the
 SplittingData of the tableau's s from its caller: integrate builds it once
 per run, and solve builds nothing per step.
 
-Both factored matrices have the form I - c B, B = J hess H(y0), and
-step_factors(hess0, cs) is the one constructor of their factors, real when
-c has no imaginary part. A step factor's whole protocol is solve(b) =
-(I - c B)^{-1} b and sweep(hL, L2, rhs) -> (D, B D): one block forward
-substitution for [I - h L (x) B] D = rhs (hL = h L, L2 = hL hL) that also
-returns the rows B D_i the next sweep needs; _inner_iteration is the one
-loop of mu sweeps. When the Hessian's momentum rows are exactly [0 | I]
-(H = |p|^2/2 + V(q), unit mass), I - c B = [[I, -c I], [c V'', I]]: the
-factor is one LU of the m x m matrix S = I + c^2 V'', a solve is one S solve
-and one V'' matvec, and a sweep eliminates the momenta of all s stages at
-once, one S solve and one V'' matvec per stage; no 2m x 2m matrix is formed.
-S has the band of V'': when LAPACK band storage (2 kl + ku + 1 rows for the
-bandwidths kl, ku of V'') has fewer rows than m, S is built in band storage
-and factored by gbtrf, O(m) for a fixed band, else by a dense m x m getrf.
-Any other Hessian is factored densely, 2m x 2m with row pivoting.
+Every factored matrix is made from B = J hess H(y0), one per shift for
+Newton and one per step for the splitting; the Hessian's entries alone pick
+its form. step_factors(hess0, cs) factors I - c B for each shift c, real when
+c has no imaginary part; a step factor offers solve(b) = (I - c B)^{-1} b and
+sweep(hL, L2, rhs) -> (D, B D), the block forward substitution of
+[I - h L (x) B] D = rhs (hL = h L, L2 = hL hL, c = h d_s) that also returns
+the rows B D_i the next sweep needs. When the Hessian's momentum rows are
+exactly [0 | I] (H = |p|^2/2 + V(q), unit mass),
+I - c B = [[I, -c I], [c V'', I]]: the factor is one LU of the m x m matrix
+S = I + c^2 V'', a solve is one S solve and one V'' matvec, and a sweep
+eliminates the momenta of all s stages at once, one S solve and one V''
+matvec per stage; no 2m x 2m matrix is formed. S has the band of V'': when
+LAPACK band storage (2 kl + ku + 1 rows for the bandwidths kl, ku of V'') has
+fewer rows than m, S is built in band storage and factored by gbtrf, O(m)
+for a fixed band, else by a dense m x m getrf. Any other Hessian is factored
+densely, 2m x 2m with row pivoting.
+
+sweep_factor(hess0, h, data) makes the splitting's one factor of a step, an
+object with solve(rhs) -> D and sweep(rhs) -> (D, B D) for
+[I - h L (x) B] D = rhs; _inner_iteration is the one loop of mu sweeps over
+it. On a separable Hessian whose V'' passes that band test, the factor is
+one pivoted band LU of the whole 2ms x 2ms sweep matrix (_BandSweep),
+unknowns ordered node by node, and a sweep is one gbtrs: O(m) per factor and
+per sweep. On every other Hessian (m = 1, a wide V'', a
+non-separable B) it is step_factors' factor of the diagonal block
+I - h d_s B with its per-stage sweep.
+Simplified Newton never uses the sweep factor.
 
 The hot path makes one call per stack where it can: the residual evaluates
 all k stage gradients in one grad call when the system declares
@@ -49,15 +61,17 @@ M = P_s^T Omega and the eigendecomposition of X_s come precomputed with the
 tableau, Phat comes factored with the splitting data, and every block solve
 calls LAPACK getrs or gbtrs directly, the routine picked once per factor.
 lu_factor and lu_solve (from hbvm.lu) are the one factor and the one solve
-entry point; the step factors call them through this module's names. A
-non-finite gradient, correction or Hessian, or a singular step matrix, is not
-an error: it ends the step with converged=False. Every SolveResult counts
-the gradient and Hessian evaluations and the factorizations its step made.
+entry point; the step and sweep factors call them through this module's
+names. A non-finite gradient, correction or Hessian, or a singular step
+matrix, is not an error: it ends the step with converged=False. Every
+SolveResult counts the gradient and Hessian evaluations and the
+factorizations its step made.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +89,7 @@ __all__ = [
     "fixed_point_solve",
     "simplified_newton_solve",
     "step_factors",
+    "sweep_factor",
     "splitting_solve",
 ]
 
@@ -240,29 +255,45 @@ def step_factors(hess0, cs):
     when hess0 is not finite (no LU is made) or some I - c B is singular
     (every LU is still made): an object whose solve(b) returns (I - c B)^{-1} b
     and whose sweep(hL, L2, rhs) -> (D, B D) solves [I - h L (x) B] D = rhs
-    for hL = h L and L2 = hL hL, with c = h d_s; _inner_iteration runs the
-    splitting's mu sweeps over it. A c with no imaginary part is factored in
-    real arithmetic, any other in complex.
+    for hL = h L and L2 = hL hL, with c = h d_s, by block forward substitution,
+    one solve per stage. A c with no imaginary part is factored in real
+    arithmetic, any other in complex. Simplified Newton uses the solves; the
+    splitting uses the sweep of one such factor wherever sweep_factor does not
+    factor its whole sweep matrix.
 
     If separable_hessian(hess0) (its momentum rows and columns are exactly
     [0 | I]), I - c B = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and
     eliminating x_p leaves S = I + c^2 V'', which has the band of V''
-    (_SeparableStep); no 2m matrix is formed. With kl and ku the bandwidths
-    of the nonzero entries of V'', S is built and factored in LAPACK band
-    storage (gbtrf) when that storage, 2 kl + ku + 1 rows, has fewer rows
-    than m; otherwise it gets one dense m x m LU. Any other hess0 gets the
-    dense 2m x 2m lu_factor(I - c B) (_DenseStep).
+    (_SeparableStep); no 2m matrix is formed. S is built and factored in
+    LAPACK band storage (gbtrf) when _step_form finds V'' banded; otherwise it
+    gets one dense m x m LU. Any other hess0 gets the dense 2m x 2m
+    lu_factor(I - c B) (_DenseStep).
     """
     if not np.all(np.isfinite(hess0)):
         return []
     cs = [c.real if c.imag == 0 else c for c in cs]
-    if separable_hessian(hess0):
-        m = hess0.shape[0] // 2
-        V = hess0[:m, :m]
-        kl, ku = _bandwidths(V)
-        make = partial(_SeparableStep, V, band=(kl, ku) if 2 * kl + ku + 1 < m else None)
-    else:
+    return _factors(hess0, cs, *_step_form(hess0))
+
+
+def _step_form(hess0):
+    """(V'', band) for a separable_hessian(hess0), band = (kl, ku) the
+    bandwidths of the nonzero entries of V'' when LAPACK band storage,
+    2 kl + ku + 1 rows, has fewer rows than m, else None; (None, None) for
+    any other hess0."""
+    if not separable_hessian(hess0):
+        return None, None
+    m = hess0.shape[0] // 2
+    V = hess0[:m, :m]
+    kl, ku = _bandwidths(V)
+    return V, ((kl, ku) if 2 * kl + ku + 1 < m else None)
+
+
+def _factors(hess0, cs, V, band):
+    """The step factors of step_factors, given _step_form(hess0)."""
+    if V is None:
         make = partial(_DenseStep, apply_J(hess0.T).T)
+    else:
+        make = partial(_SeparableStep, V, band=band)
     facs = []
     for c in cs:
         try:
@@ -356,19 +387,134 @@ def _band_storage(c, cV, kl, ku):
     return ab
 
 
-def _inner_iteration(fac, L, T, h, mu):
-    """The splitting's inner iteration of one step, eta -> D: mu sweeps of
-    fac from D = 0 of [I - h L (x) B] D' = h T (x) B D + eta. h L and
-    (h L)^2 are formed once per step, and each sweep returns the B D that the
-    next right-hand side needs."""
-    hL = h * L
-    L2 = hL @ hL
+def sweep_factor(hess0, h, data):
+    """The splitting's one factor of a step, for SplittingData data: an
+    object whose solve(rhs) returns D with [I - h L (x) B] D = rhs,
+    B = J hess0, and whose sweep(rhs) -> (D, B D) also returns the rows
+    B D_i, or None when hess0 is not finite (no LU is made) or the matrix is
+    singular.
 
+    When _step_form finds hess0 separable with a banded V'', the whole
+    2ms x 2ms block lower-triangular sweep matrix is one pivoted band LU
+    (_BandSweep), O(m) for a fixed band, and a sweep is one gbtrs. Otherwise
+    the factor is step_factors' factor of its diagonal block I - h d_s B and
+    a sweep is its block forward substitution, one solve per stage
+    (_StageSweep). Either way a step makes one factorization.
+    """
+    if not np.all(np.isfinite(hess0)):
+        return None
+    V, band = _step_form(hess0)
+    if band is not None:
+        try:
+            return _BandSweep(V, h, data.L, band)
+        except np.linalg.LinAlgError:
+            return None
+    facs = _factors(hess0, [h * data.d], V, band)
+    return _StageSweep(facs[0], h * data.L) if facs else None
+
+
+class _StageSweep:
+    """The sweep of a step factor of I - h d_s B, block forward substitution
+    over the stages, with hL = h L and (h L)^2 formed once per step."""
+
+    def __init__(self, fac, hL):
+        self.fac, self.lu = fac, fac.lu
+        self.hL, self.L2 = hL, hL @ hL
+
+    def sweep(self, rhs):
+        return self.fac.sweep(self.hL, self.L2, rhs)
+
+    def solve(self, rhs):
+        return self.sweep(rhs)[0]
+
+
+class _BandSweep:
+    """[I - h L (x) B] for B = [[0, I], [-V'', 0]] with a banded V'', as one
+    LU with partial pivoting (gbtrf) of the whole sweep matrix; a sweep is
+    one gbtrs.
+
+    The unknowns are ordered node by node, (q, p) of stage i at node a at
+    a 2s + v s + i for v = 0, 1, which gives the matrix the band of
+    _sweep_layout. The momenta are not eliminated first: the unreduced system
+    keeps the pivoted solve as accurate forward as a dense one. The rows
+    B D_i = (p_i, -V'' q_i) take one product with the band of V'', kept as
+    the m x (kl + ku + 1) array Vb of each node's neighbours.
+    """
+
+    def __init__(self, V, h, L, band):
+        s, m = len(L), len(V)
+        lay = _sweep_layout(m, s, *band)
+        self.near = lay.near
+        self.Vb = np.where(lay.inside, V[lay.node, lay.near], 0.0)
+        # -1 for h L_ij p_j(a) in the q rows, V''_ab for h L_ij q_j(b) in the p rows
+        coef = np.concatenate((np.full(m, -1.0), self.Vb[lay.inside]))
+        KL, KU = lay.band
+        ab = np.zeros((2 * KL + KU + 1, 2 * m * s))
+        ab[KL + KU] = 1.0
+        # h (L_ij V''_ab): the entries of I - h kron(L, B), rounded alike
+        ab.reshape(-1)[lay.flat] = h * np.multiply.outer(coef, L[lay.i, lay.j]).ravel()
+        self.lu = lu_factor(ab, lay.band)
+
+    def solve(self, rhs):
+        s, n = rhs.shape
+        m = n // 2
+        x = lu_solve(self.lu, rhs.reshape(s, 2, m).transpose(2, 1, 0).ravel())
+        return x.reshape(m, 2, s).transpose(2, 1, 0).reshape(s, n)
+
+    def sweep(self, rhs):
+        D, m = self.solve(rhs), len(self.Vb)
+        VQ = np.einsum("smw,mw->sm", D[:, self.near], self.Vb)
+        return D, np.concatenate([D[:, m:], -VQ], axis=1)
+
+
+class _SweepLayout(NamedTuple):
+    band: tuple             # (KL, KU) of the sweep matrix
+    flat: np.ndarray        # flat positions in band storage of the q rows' entries,
+                            # then the p rows', each times the entries of L
+    node: np.ndarray        # (m, 1): the nodes a
+    near: np.ndarray        # (m, kl + ku + 1): b = a - kl, ..., a + ku, clipped to [0, m)
+    inside: np.ndarray      # where b is not clipped; V''[a, b] then scales
+                            # h L_ij q_j(b) in the p rows of node a
+    i: np.ndarray           # (i, j), j <= i: the entries of L, row by row
+    j: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _sweep_layout(m, s, kl, ku):
+    """Where the entries of I - h L (x) B go in LAPACK band storage, for m
+    nodes, s stages and the bandwidths kl, ku of V''. Row (a, q, i) holds
+    q_i(a) - h sum_j L_ij p_j(a), row (a, p, i) holds
+    p_i(a) + h sum_j L_ij sum_b V''_ab q_j(b); with the unknowns at
+    a 2s + v s + i, the bandwidths are KL = 2s kl + 2s - 1 and
+    KU = max(s, 2s ku - s)."""
+    KL, KU = 2 * s * kl + 2 * s - 1, max(s, 2 * s * ku - s)
+    n = 2 * m * s
+    i, j = np.tril_indices(s)
+    node = np.arange(m)[:, None]
+    near = node + np.arange(-kl, ku + 1)
+    inside = (near >= 0) & (near < m)
+    near = np.clip(near, 0, m - 1)
+    a, b = np.broadcast_to(node, near.shape)[inside], near[inside]
+    rows = np.concatenate([(2 * s * node + i).ravel(), (2 * s * a[:, None] + s + i).ravel()])
+    cols = np.concatenate([(2 * s * node + s + j).ravel(), (2 * s * b[:, None] + j).ravel()])
+    lay = _SweepLayout((KL, KU), (KL + KU + rows - cols) * n + cols,
+                       node, near, inside, i, j)
+    for arr in lay[1:]:
+        arr.flags.writeable = False
+    return lay
+
+
+def _inner_iteration(fac, T, h, mu):
+    """The splitting's inner iteration of one step, eta -> D: mu sweeps of
+    the sweep factor fac from D = 0 of [I - h L (x) B] D' = h T (x) B D + eta.
+    Each sweep but the last returns the B D that the next right-hand side
+    needs; the last needs only D (fac.solve)."""
     def run(eta):
-        D, BD = fac.sweep(hL, L2, eta)
+        rhs = eta
         for _ in range(mu - 1):
-            D, BD = fac.sweep(hL, L2, h * (T @ BD) + eta)
-        return D
+            _, BD = fac.sweep(rhs)
+            rhs = h * (T @ BD) + eta
+        return fac.solve(rhs)
     return run
 
 
@@ -376,10 +522,11 @@ def splitting_solve(p, data, opts=SolveOptions()):
     """Inner-outer triangular-splitting iteration in gammahat = Phat gamma.
 
     Each outer step evaluates eta = Phat F(Phat^{-1} gammahat), runs the mu
-    inner sweeps of _inner_iteration, T = data.T = L (U - I), against the one
-    factored matrix I - h d_s B, B = J hess H(y0), and subtracts their D from
-    gammahat. The sweeps are linear and sign-symmetric in eta, so this has the
-    bits of adding the D of -eta. The new step value is y1 = y0 + h gamma_0.
+    inner sweeps of _inner_iteration, T = data.T = L (U - I), over the step's
+    one sweep factor (sweep_factor, from B = J hess H(y0)), and subtracts
+    their D from gammahat. The sweeps are linear and sign-symmetric in eta,
+    so this has the bits of adding the D of -eta. The new step value is
+    y1 = y0 + h gamma_0.
     """
     s, h = p.tableau.s, p.h
     if data is None or data.s != s:
@@ -390,19 +537,19 @@ def splitting_solve(p, data, opts=SolveOptions()):
     # and goes together with that pin (ROADMAP item 1)
     p.system.hess(p.y0_step)
     hess0 = p.system.hess(p.y0_step)
-    facs = step_factors(hess0, [h * data.d])
-    inner = _inner_iteration(facs[0], data.L, data.T, h, opts.mu) if facs else None
+    fac = sweep_factor(hess0, h, data)
+    inner = _inner_iteration(fac, data.T, h, opts.mu) if fac else None
     Phat, Phat_lu = data.Phat, data.Phat_lu
 
     def step(ghat):
         D = inner(Phat @ residual_F(p, lu_solve(Phat_lu, ghat)))
         return ghat - D, D
 
-    res = _iterate(p, opts, step, opts.max_outer if facs else 0)
+    res = _iterate(p, opts, step, opts.max_outer if fac else 0)
     res.gamma = lu_solve(Phat_lu, res.gamma)
     res.inner_iterations_total = opts.mu * res.outer_iterations
     res.hessian_evaluations = 2
-    res.factorizations = 1 if facs or np.all(np.isfinite(hess0)) else 0
+    res.factorizations = 1 if fac or np.all(np.isfinite(hess0)) else 0
     return res
 
 

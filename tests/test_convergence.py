@@ -20,7 +20,7 @@ from hbvm.convergence import (
     iteration_matrix,
     spectral_radius,
 )
-from hbvm.hamiltonian import harmonic_oscillator
+from hbvm.hamiltonian import HamiltonianSystem, harmonic_oscillator
 from hbvm.nlsolve import SolveOptions, StageProblem
 from hbvm.tableau import build_tableau
 
@@ -318,3 +318,68 @@ def test_splitting_contracts_at_the_predicted_rate(monkeypatch, splittings):
                 checked.append((s, mu, x))
                 assert observed == pytest.approx(predicted, rel=0.15), (s, mu, x)
     assert len(checked) >= 30
+
+
+def _linear_chain(m):
+    """H = |p|^2/2 + q^T K q / 2 with K tridiagonal: unit masses whose own
+    frequencies 10^(a - 4) are coupled to their neighbours by springs of
+    stiffness 0.1 sqrt(K_aa K_bb); a generic y0 excites every normal mode."""
+    w = 10.0 ** (np.arange(m) - 4.0)
+    off = -0.1 * w[:-1] * w[1:]
+    K = np.diag(w**2) + np.diag(off, 1) + np.diag(off, -1)
+
+    def hess(y):
+        out = np.eye(2 * m)
+        out[:m, :m] = K
+        return out
+
+    return HamiltonianSystem(
+        m=m, H=lambda y: 0.5 * y[m:] @ y[m:] + 0.5 * y[:m] @ K @ y[:m],
+        grad=lambda y: np.concatenate([y[..., :m] @ K, y[..., m:]], axis=-1), hess=hess,
+        y0=np.concatenate([1.0 / w, np.zeros(m)]), label="linear-chain", stacked_grad=True), K
+
+
+def test_banded_splitting_contracts_at_the_predicted_rate(monkeypatch, splittings):
+    # the band sweep (one LU of the whole sweep matrix) runs the same
+    # iteration: on a linear tridiagonal chain each normal mode of frequency
+    # w_j contracts by Z(i h w_j)^mu, so the increments shrink by the largest
+    # rho(Z(i h w_j))^mu. Frequencies a decade apart leave one mode dominant.
+    # Increments are measured in the energy norm, sqrt(D_q K D_q + D_p D_p)
+    # over the stages, which weighs q and p of each mode alike; the max-norm
+    # of a stiff mode sees only its momenta, whose ratios swing with the
+    # phase of the complex dominant eigenvalue of Z
+    m = 8
+    sysm, K = _linear_chain(m)
+    w = np.sqrt(np.linalg.eigvalsh(K))
+    norms = []
+    iterate = nlsolve._iterate
+
+    def recording(p, opts, step, cap):
+        def recorded(x):
+            x, delta = step(x)
+            norms.append(np.sqrt(np.sum((delta[:, :m] @ K) * delta[:, :m])
+                                 + np.sum(delta[:, m:] ** 2)))
+            return x, delta
+        return iterate(p, opts, recorded, cap)
+
+    monkeypatch.setattr(nlsolve, "_iterate", recording)
+    checked = set()
+    for s in (2, 3, 6):
+        tab, data = build_tableau(s + 2, s), splittings[s]
+        for h in (0.3, 1.0, 3.0, 10.0, 30.0):
+            assert isinstance(nlsolve.sweep_factor(sysm.hess(sysm.y0), h, data),
+                              nlsolve._BandSweep)
+            rho = max(spectral_radius(iteration_matrix(1j * h * wj, data)) for wj in w)
+            for mu in (1, 2, 3):
+                norms.clear()
+                res = nlsolve.splitting_solve(StageProblem(tab, sysm, sysm.y0, h), data,
+                                              SolveOptions(mu=mu))
+                assert res.converged and res.outer_iterations == len(norms)
+                if len(norms) < 8:
+                    continue
+                ratios = np.array(norms[1:]) / np.array(norms[:-1])
+                observed = np.median(ratios[len(ratios) // 2:])
+                checked.add((s, mu))
+                assert observed == pytest.approx(rho**mu, rel=0.15), (s, mu, h)
+    # every (s, mu) but (2, 3), whose rate 0.13^3 reaches the floor in 5 iterations
+    assert checked == {(s, mu) for s in (2, 3, 6) for mu in (1, 2, 3)} - {(2, 3)}

@@ -8,6 +8,7 @@ from hbvm.hamiltonian import (
     charged_particle,
     fpu_modified,
     harmonic_oscillator,
+    separable_hessian,
 )
 from tests.conftest import fd_gradient, fd_jacobian
 
@@ -395,3 +396,22 @@ def test_harmonic_energy_and_field():
 def test_harmonic_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
         harmonic_oscillator(0.0)
+
+
+# ---------------------------------------------------------------------------
+# separability predicate
+
+
+@pytest.mark.parametrize("i,j", [(3, 0), (3, 3), (3, 4), (0, 3), (5, 4), (4, 4)])
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-300, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                                   np.nan, np.inf])
+def test_separable_hessian_is_the_exact_identity_test_on_the_momentum_rows(i, j, value):
+    # one entry of a separable 6 x 6 Hessian changed: the predicate agrees
+    # with comparing the momentum rows and columns to [0 | I] exactly (-0.0
+    # counts as zero, a NaN on the diagonal is not 1.0)
+    hess = np.eye(6)
+    hess[:3, :3] = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
+    hess[i, j] = value
+    expected = (not np.any(hess[3:, :3]) and not np.any(hess[:3, 3:])
+                and np.array_equal(hess[3:, 3:], np.eye(3)))
+    assert separable_hessian(hess) is expected

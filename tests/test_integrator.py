@@ -408,9 +408,10 @@ def _counting(system, stacked):
 @pytest.mark.parametrize("factory,h", [(fpu_modified, 0.01), (charged_particle, 0.1)])
 def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver, hess_per_step):
     # one NaN Hessian entry from the third step on: V'' of the separable fpu
-    # factor (tridiagonal, band storage), the dense factor of the charged
-    # particle; the run ends at 2h without an exception or a warning, and the
-    # counters are the real calls
+    # factor (tridiagonal, band storage: S for Newton, the whole sweep matrix
+    # for the splitting), the dense factor of the charged particle; the run
+    # ends at 2h without an exception or a warning, and the counters are the
+    # real calls
     import hbvm.nlsolve
 
     base = factory()
@@ -442,7 +443,9 @@ def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver,
     assert stats.hessian_evaluations == calls["hess"] == 3 * hess_per_step
     assert stats.gradient_evaluations == calls["grad"] > 0
     assert stats.factorizations == len(factors) > 0
-    storage = {fpu_modified: ((4, 14), ((1, 1),)), charged_particle: ((6, 6), ())}
+    # the splitting's s = 2 sweep matrix has KL = 4s - 1 = 7 and KU = s = 2
+    fpu = ((17, 56), ((7, 2),)) if solver == "splitting" else ((4, 14), ((1, 1),))
+    storage = {fpu_modified: fpu, charged_particle: ((6, 6), ())}
     assert factors == [storage[factory]] * len(factors)
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hbvm.nlsolve import (
     FLOOR_WINDOW,
     SolveOptions,
     StageProblem,
+    _BandSweep,
     _inner_iteration,
     _iterate,
     _newton_correction,
@@ -33,6 +35,7 @@ from hbvm.nlsolve import (
     splitting_solve,
     stages_from_gamma,
     step_factors,
+    sweep_factor,
 )
 from hbvm.polybasis import legendre_basis
 from hbvm.splitting import build_splitting
@@ -701,13 +704,53 @@ def test_band_step_factor_solves_and_sweeps_are_backward_stable(m, kl, h, stiffn
         if np.iscomplexobj(c):
             b = b + 1j * rng.standard_normal(2 * m)
         assert _backward_error(np.eye(2 * m) - c * B, fac.solve(b), b) <= 1e-13
+    # the splitting's factor: the band LU of the whole sweep matrix when V''
+    # is banded, else the m x m factor above and a per-stage sweep
+    sweep = sweep_factor(hess0, h, data)
+    assert sweep.lu.lu.shape == (_sweep_storage(m, s, kl, kl)[0] if banded else (m, m))
     R = rng.standard_normal((s, 2 * m))
-    hL = h * data.L
-    D, BD = facs[0].sweep(hL, hL @ hL, R)
+    D, BD = sweep.sweep(R)
     A = np.eye(s * 2 * m) - h * np.kron(data.L, B)
     assert _backward_error(A, D.ravel(), R.ravel()) <= 1e-13
     assert np.max(np.abs(BD - D @ B.T)) <= 1e-14 * np.linalg.norm(B, np.inf) * np.max(np.abs(D))
-    assert np.array_equal(_inner_iteration(facs[0], data.L, data.T, h, 1)(R), D)
+    assert np.array_equal(_inner_iteration(sweep, data.T, h, 1)(R), D)
+
+
+def _sweep_storage(m, s, kl, ku):
+    """(shape, (KL, KU)) of the LAPACK band storage of I - h L (x) B, 2ms
+    unknowns ordered node by node, for a V'' of bandwidths kl, ku."""
+    KL, KU = 2 * s * kl + 2 * s - 1, max(s, 2 * s * ku - s)
+    return (2 * KL + KU + 1, 2 * m * s), (KL, KU)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.1, 0.5])
+def test_band_sweep_is_as_accurate_forward_as_a_dense_solve(h):
+    # one sweep of the stiff chain (fpu_modified, s = 3; cond 4e11 at
+    # h = 0.01) against a 40-digit LU solve of the float matrix
+    # I - h kron(L, B) that np.linalg.solve gets: over 16 random right-hand
+    # sides the band sweep's median relative error is at most 3x the dense
+    # solve's. The band sweep forms its entries as h (L_ij V''_ab), rounded as
+    # that matrix is; entries formed as (h L_ij) V''_ab, 1 ulp off in places,
+    # raised the median error at h = 0.01 from 8e-15 to 5e-14
+    mp = mpmath.mp
+    hess0 = _hess_at_y0(fpu_modified())
+    B = apply_J(hess0.T).T
+    data = build_splitting(3)
+    sweep = sweep_factor(hess0, h, data)
+    assert isinstance(sweep, _BandSweep)
+    A = np.eye(84) - h * np.kron(data.L, B)
+    rhs = np.random.default_rng([3, int(100 * h)]).standard_normal((16, 3, 28))
+    with mpmath.workdps(40):
+        lu, piv = mp.LU_decomp(mpmath.matrix(A.tolist()))
+        exact = [np.array(mp.U_solve(lu, mp.L_solve(lu, mpmath.matrix(r.ravel().tolist()), piv)),
+                          dtype=float).ravel() for r in rhs]
+
+    def median_error(solve):
+        return np.median([np.max(np.abs(solve(r).ravel() - x)) / np.max(np.abs(x))
+                          for r, x in zip(rhs, exact)])
+
+    band = median_error(lambda r: sweep.sweep(r)[0])
+    assert band <= 3.0 * median_error(lambda r: np.linalg.solve(A, r.ravel()))
 
 
 def _reference_dense_sweep(fac, B, hL, rhs):
@@ -736,7 +779,7 @@ def test_dense_sweeps_are_the_bare_factor_sweeps_bit_for_bit(s, mu):
     assert np.array_equal(got[0], D) and np.array_equal(got[1], BD)
     for _ in range(mu - 1):
         D, BD = _reference_dense_sweep(ref_fac, B, hL, h * (T @ BD) + eta)
-    assert np.array_equal(_inner_iteration(fac, data.L, T, h, mu)(eta), D)
+    assert np.array_equal(_inner_iteration(sweep_factor(hess0, h, data), T, h, mu)(eta), D)
 
 
 def _random_hess(m, seed):
@@ -760,8 +803,9 @@ def _random_separable_hess(m, seed):
     # the conditioning allows: on this chain cond(I - h kron(L, B)) is 4e11
     # at h = 0.01 (the two differ by up to 2.3e-12 there) and 5e10 at
     # h = 1e-3, still stiff (h ||B|| = 1e5); backward stability at the
-    # paper's steps is test_band_step_factor_solves_and_sweeps_are_backward_stable's
-    pytest.param(_hess_at_y0(fpu_modified()), 1e-3, (4, 14), id="fpu-band"),
+    # paper's steps is test_band_step_factor_solves_and_sweeps_are_backward_stable's;
+    # its factor is the band LU of the whole sweep matrix (lu_shape None)
+    pytest.param(_hess_at_y0(fpu_modified()), 1e-3, None, id="fpu-band"),
     pytest.param(_hess_at_y0(harmonic_oscillator(2.0)), 0.1, (1, 1), id="harmonic-m1"),
     pytest.param(_random_separable_hess(5, 2), 0.1, (5, 5), id="random-separable"),
 ])
@@ -773,23 +817,25 @@ def test_inner_iteration_is_the_splitting_iteration_it_solves(hess0, h, lu_shape
     B = apply_J(hess0.T).T
     n = len(B)
     data = build_splitting(s)
-    fac = step_factors(hess0, [h * data.d])[0]
-    assert fac.lu.lu.shape == lu_shape
+    fac = sweep_factor(hess0, h, data)
+    assert fac.lu.lu.shape == (lu_shape or _sweep_storage(n // 2, s, 1, 1)[0])
     A = np.eye(s * n) - h * np.kron(data.L, B)
     R = h * np.kron(data.T, B)
     eta = np.random.default_rng([s, mu]).standard_normal((s, n))
     D = np.zeros(s * n)
     for _ in range(mu):
         D = np.linalg.solve(A, R @ D + eta.ravel())
-    got = _inner_iteration(fac, data.L, data.T, h, mu)(eta)
+    got = _inner_iteration(fac, data.T, h, mu)(eta)
     assert np.max(np.abs(got.ravel() - D)) <= 1e-12 * np.max(np.abs(D))
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 6])
 def test_separable_path_factors_and_solves_m_by_m_once_per_block(monkeypatch, factored, s):
     # the benchmark tracer counts calls of the module-level lu_factor and
-    # lu_solve: one factor per step matrix, in band storage for the
-    # tridiagonal chain (4 x m), and one call per block solve
+    # lu_solve. The splitting makes one factor per step, the band LU of its
+    # whole sweep matrix for the tridiagonal chain, and one solve per sweep;
+    # Newton makes one m x m factor of S per block (4 x m in band storage)
+    # and one call per block solve
     import hbvm.nlsolve
 
     m = 8
@@ -804,12 +850,13 @@ def test_separable_path_factors_and_solves_m_by_m_once_per_block(monkeypatch, fa
     mu = 3
     split = splitting_solve(p, build_splitting(s), SolveOptions(mu=mu))
     assert split.converged
-    assert factored == [((4, m), ((1, 1),))]
-    # mu sweeps of s block solves per outer step, and one Phat solve per
+    sweep_lu, band = _sweep_storage(m, s, 1, 1)
+    assert factored == [(sweep_lu, (band,))]
+    # mu sweeps of one solve each per outer step, and one Phat solve per
     # outer step plus one for the result
-    assert solved.count((4, m)) == mu * s * split.outer_iterations
+    assert solved.count(sweep_lu) == mu * split.outer_iterations
     assert solved.count((s, s)) == split.outer_iterations + 1
-    assert len(solved) == (mu * s + 1) * split.outer_iterations + 1
+    assert len(solved) == (mu + 1) * split.outer_iterations + 1
 
     factored.clear()
     solved.clear()

@@ -12,7 +12,8 @@ amplification_report computes all of them from one batched scan of the
 axis: iteration_matrix takes an array of q and returns the (N, s, s) stack
 of Z(q), spectral_radius and the averaged norm reduce over the last axes,
 and the grid is evaluated in fixed blocks of _BLOCK points, each block once
-for rho and every mu. Every value is bit for bit the one a scalar q gives.
+for every mu, and for rho only where the norms leave room for its maximum.
+Every value is bit for bit the one a scalar q gives.
 
 The golden-section refinement of each maximum is in-house (_golden_max), step
 for step the golden method of scipy's minimize_scalar, so the analysis runs on
@@ -39,6 +40,11 @@ __all__ = [
 _GRID = np.logspace(-3.0, 4.0, 2000)
 # grid points per batched evaluation: bounds the (N, s, s) temporaries
 _BLOCK = 250
+# the placeholder of a pruned grid point's rho, below any spectral radius, and
+# the relative slack of the pruning test: the bounds hold in exact arithmetic,
+# and the slack covers the rounding of both sides
+_PRUNED = -1.0
+_ROUNDING = 1e-9
 # golden-ratio conjugate (sqrt(5) - 1) / 2, to the 8 digits scipy's golden method uses
 _GOLDEN = 0.61803399
 
@@ -124,18 +130,33 @@ def amplification_report(data, mus=(1, 2, 3)):
     sup_x ||Z(ix)^mu||^(1/mu), etc.
 
     Conjugate symmetry rho(ix) = rho(-ix) halves the scan to x >= 0. Each
-    block of _GRID is evaluated once and reduced at once to rho(Z) and to
-    every mu's averaged norm; only those values are kept, not the Z stacks.
+    block of _GRID is evaluated once and reduced at once to every mu's
+    averaged norm (and to ||Z|| when 1 is not among mus); only those values
+    are kept, not the Z stacks. Each of these norms bounds rho(Z) from above,
+    so rho(Z) is computed only at the points whose smallest bound reaches the
+    largest rho found so far, that of the block's point of largest bound
+    first: the maximum and its neighbours are among them. Every other point
+    gets _PRUNED, below any radius, which _maximize_on_axis never picks.
     """
     for mu in mus:
         require_integer("mu", mu, lo=1)
-
-    def reduced(Z):
-        return [spectral_radius(Z)] + [_averaged_norm(Z, mu) for mu in mus]
-
-    blocks = [reduced(iteration_matrix(1j * _GRID[i:i + _BLOCK], data))
-              for i in range(0, len(_GRID), _BLOCK)]
-    vals = [np.concatenate(col) for col in zip(*blocks)]
+    bounding = mus if 1 in mus else (*mus, 1)
+    best, rho, norms = _PRUNED, [], []
+    for i in range(0, len(_GRID), _BLOCK):
+        Z = iteration_matrix(1j * _GRID[i:i + _BLOCK], data)
+        block = [_averaged_norm(Z, mu) for mu in bounding]
+        bound = np.min(block, axis=0)
+        r = np.full(len(Z), _PRUNED)
+        j = int(np.argmax(bound))
+        r[j] = spectral_radius(Z[j])
+        keep = bound >= (1.0 - _ROUNDING) * max(best, r[j])
+        keep[j] = False
+        if keep.any():
+            r[keep] = spectral_radius(Z[keep])
+        best = max(best, r.max())
+        rho.append(r)
+        norms.append(block[:len(mus)])
+    vals = [np.concatenate(rho)] + [np.concatenate(col) for col in zip(*norms)]
 
     star, xstar = _maximize_on_axis(
         vals[0], lambda x: spectral_radius(iteration_matrix(1j * x, data)))

@@ -64,14 +64,19 @@ def apply_J(v):
     return np.concatenate([v[..., m:], -v[..., :m]], axis=-1)
 
 
-def separable_hessian(hess):
+def separable_hessian(hess, nonzero=None):
     """True when the momentum rows and columns of hess are exactly [0 | I],
     as for H = |p|^2/2 + V(q) (unit mass); no tolerance. The momentum rows
     are [0 | I] when the diagonal of I is all 1.0 and the rows hold no other
-    nonzero entry: no identity is formed."""
+    nonzero entry: no identity is formed.
+
+    nonzero is the mask hess != 0 (NaN and inf count as nonzero), made here
+    unless the caller passes the one it has; hess itself is then read only
+    on the momentum diagonal."""
     m = hess.shape[0] // 2
-    return bool(np.all(hess[m:, m:].diagonal() == 1.0)
-                and np.count_nonzero(hess[m:]) == m and not np.any(hess[:m, m:]))
+    nz = hess != 0 if nonzero is None else nonzero
+    return bool((hess[m:, m:].diagonal() == 1.0).all()
+                and np.count_nonzero(nz[m:]) == m and not nz[:m, m:].any())
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,24 @@ per run, and solve builds nothing per step.
 
 Every factored matrix is made from B = J hess H(y0), one per shift for
 Newton and one per step for the splitting; the Hessian's entries alone pick
-its form. step_factors(hess0, cs) factors I - c B for each shift c, real when
-c has no imaginary part; a step factor offers solve(b) = (I - c B)^{-1} b and
-sweep(hL, L2, rhs) -> (D, B D), the block forward substitution of
-[I - h L (x) B] D = rhs (hL = h L, L2 = hL hL, c = h d_s) that also returns
-the rows B D_i the next sweep needs. When the Hessian's momentum rows are
-exactly [0 | I] (H = |p|^2/2 + V(q), unit mass),
-I - c B = [[I, -c I], [c V'', I]]: the factor is one LU of the m x m matrix
-S = I + c^2 V'', a solve is one S solve and one V'' matvec, and a sweep
-eliminates the momenta of all s stages at once, one S solve and one V''
-matvec per stage; no 2m x 2m matrix is formed. S has the band of V'': when
-LAPACK band storage (2 kl + ku + 1 rows for the bandwidths kl, ku of V'') has
-fewer rows than m, S is built in band storage and factored by gbtrf, O(m)
-for a fixed band, else by a dense m x m getrf. Any other Hessian is factored
-densely, 2m x 2m with row pivoting.
+its form, read in one structure pass (_step_form): the mask hess0 != 0 gives
+both separability and the band of V''. step_factors(hess0, cs) factors
+I - c B for each shift c, real when c has no imaginary part; a step factor
+offers solve(b) = (I - c B)^{-1} b and sweep(hL, L2, rhs) -> (D, B D), the
+block forward substitution of [I - h L (x) B] D = rhs (hL = h L,
+L2 = hL hL, c = h d_s) that also returns the rows B D_i the next sweep
+needs. When the Hessian's momentum rows are exactly [0 | I]
+(H = |p|^2/2 + V(q), unit mass), I - c B = [[I, -c I], [c V'', I]]: the
+factor is one LU of the m x m matrix S = I + c^2 V'', a solve is one S solve
+and one V'' product, and a sweep eliminates the momenta of all s stages at
+once, one S solve and one V'' product per stage; no 2m x 2m matrix is
+formed. S has the band of V'': when LAPACK band storage (2 kl + ku + 1 rows
+for the bandwidths kl, ku of V'') has fewer rows than m, V'' and c V'' are
+kept in the m x (kl + ku + 1) layout of each node's neighbours (_Band), S is
+built from it in band storage and factored by gbtrf, and each V'' product is
+one band product (_band_product): O(m) for a fixed band, and no m x m array.
+Otherwise S is a dense m x m getrf. Any other Hessian is factored densely,
+2m x 2m with row pivoting.
 
 sweep_factor(hess0, h, data) makes the splitting's one factor of a step, an
 object with solve(rhs) -> D and sweep(rhs) -> (D, B D) for
@@ -261,31 +265,54 @@ def step_factors(hess0, cs):
     splitting uses the sweep of one such factor wherever sweep_factor does not
     factor its whole sweep matrix.
 
-    If separable_hessian(hess0) (its momentum rows and columns are exactly
-    [0 | I]), I - c B = [[I, -c I], [c V'', I]] with V'' = hess0[:m, :m], and
-    eliminating x_p leaves S = I + c^2 V'', which has the band of V''
-    (_SeparableStep); no 2m matrix is formed. S is built and factored in
-    LAPACK band storage (gbtrf) when _step_form finds V'' banded; otherwise it
-    gets one dense m x m LU. Any other hess0 gets the dense 2m x 2m
+    _step_form reads hess0 once. If separable_hessian(hess0) (its momentum
+    rows and columns are exactly [0 | I]), I - c B = [[I, -c I], [c V'', I]]
+    with V'' = hess0[:m, :m], and eliminating x_p leaves S = I + c^2 V'', which
+    has the band of V'' (_SeparableStep); no 2m matrix is formed. For a banded
+    V'' (a _Band), S is built in LAPACK band storage from c V'' kept in the
+    band's neighbour layout and factored by gbtrf, and a solve is one gbtrs
+    and one band product: no m x m array either. A wide V'' gets one dense
+    m x m LU of S. Any other hess0 gets the dense 2m x 2m
     lu_factor(I - c B) (_DenseStep).
     """
-    if not np.all(np.isfinite(hess0)):
+    form = _step_form(hess0)
+    if form is None:
         return []
     cs = [c.real if c.imag == 0 else c for c in cs]
-    return _factors(hess0, cs, *_step_form(hess0))
+    return _factors(hess0, cs, *form)
+
+
+class _Band(NamedTuple):
+    """A banded V'' in the layout of each node's neighbours."""
+    kl: int                 # bandwidths below and above the diagonal
+    ku: int
+    near: np.ndarray        # (m, kl + ku + 1): b = a - kl, ..., a + ku, clipped to [0, m)
+    inside: np.ndarray      # where b is not clipped
+    Vb: np.ndarray          # V''[a, b] where inside, else 0
 
 
 def _step_form(hess0):
-    """(V'', band) for a separable_hessian(hess0), band = (kl, ku) the
-    bandwidths of the nonzero entries of V'' when LAPACK band storage,
-    2 kl + ku + 1 rows, has fewer rows than m, else None; (None, None) for
-    any other hess0."""
-    if not separable_hessian(hess0):
-        return None, None
-    m = hess0.shape[0] // 2
-    V = hess0[:m, :m]
-    kl, ku = _bandwidths(V)
-    return V, ((kl, ku) if 2 * kl + ku + 1 < m else None)
+    """(V'', band) from one structure pass over hess0, or None when hess0 is
+    not finite: V'' = hess0[:m, :m] and band its _Band when LAPACK band
+    storage, 2 kl + ku + 1 rows, has fewer rows than m, else None, for a
+    separable_hessian(hess0); (None, None) for any other hess0.
+
+    The one mask hess0 != 0 (NaN and inf count as nonzero) decides
+    separability and gives the bandwidths kl, ku of V''. On a banded V'' it
+    proves every entry outside the band to be exactly 0 or 1, so only the
+    gathered band is checked for finiteness, O(m); any other hess0 is checked
+    whole."""
+    nz = hess0 != 0
+    V = None
+    if separable_hessian(hess0, nz):
+        m = len(hess0) // 2
+        V = hess0[:m, :m]
+        kl, ku = _bandwidths(nz[:m, :m])
+        if 2 * kl + ku + 1 < m:
+            node, near, inside = _neighbours(m, kl, ku)
+            Vb = np.where(inside, V[node, near], 0.0)
+            return (V, _Band(kl, ku, near, inside, Vb)) if np.isfinite(Vb).all() else None
+    return (V, None) if np.isfinite(hess0).all() else None
 
 
 def _factors(hess0, cs, V, band):
@@ -303,12 +330,34 @@ def _factors(hess0, cs, V, band):
     return [] if None in facs else facs
 
 
-def _bandwidths(V):
-    """(kl, ku): how far the nonzero entries of V reach below and above its
-    diagonal."""
-    i, j = np.nonzero(V)
+def _bandwidths(nonzero):
+    """(kl, ku): how far the True entries of the square mask nonzero reach
+    below and above its diagonal."""
+    i, j = np.divmod(np.flatnonzero(nonzero), len(nonzero))
     d = j - i
     return -int(d.min(initial=0)), int(d.max(initial=0))
+
+
+@lru_cache(maxsize=32)
+def _neighbours(m, kl, ku):
+    """(node, near, inside) for m nodes and the bandwidths kl, ku: the (m, 1)
+    column of nodes a, and near and inside of their _Band."""
+    node = np.arange(m)[:, None]
+    near = node + np.arange(-kl, ku + 1)
+    inside = (near >= 0) & (near < m)
+    near = np.clip(near, 0, m - 1)
+    for arr in (node, near, inside):
+        arr.flags.writeable = False
+    return node, near, inside
+
+
+def _band_product(Vb, near, x):
+    """V'' x, or the rows V'' x_i of a stack, for the V'' whose band Vb holds
+    in the neighbour layout near (see _Band); only the first m entries of a
+    row are read. Each node's sum runs over its band in order, O(m)."""
+    if x.ndim == 1:
+        return np.einsum("mw,mw->m", x[near], Vb)
+    return np.einsum("smw,mw->sm", x[:, near], Vb)
 
 
 class _DenseStep:
@@ -321,21 +370,25 @@ class _DenseStep:
     def solve(self, b):
         return lu_solve(self.lu, b)
 
-    def sweep(self, hL, L2, rhs):
+    def sweep(self, hL, L2, rhs, products=True):
         """D with [I - h L (x) B] D = rhs, given hL = h L, by block forward
         substitution, each diagonal block solved with this factor, and the
-        rows B D_i, each formed once (L2 is not needed here)."""
+        rows B D_i, each formed once (L2 is not needed here). With
+        products=False only D is returned, and the last row B D_{s-1}, which
+        no later stage reads, is not formed."""
         D, BD = np.empty_like(rhs), np.empty_like(rhs)
         for i in range(len(rhs)):
             D[i] = lu_solve(self.lu, rhs[i] + hL[i, :i] @ BD[:i])
-            BD[i] = self.B @ D[i]
-        return D, BD
+            if products or i + 1 < len(rhs):
+                BD[i] = self.B @ D[i]
+        return (D, BD) if products else D
 
 
 class _SeparableStep:
     """I - c B = [[I, -c I], [c V'', I]] through one LU of S = I + c^2 V'':
-    in band storage for band = (kl, ku), else dense m x m. B x = (x_p, -V'' x_q)
-    is never formed as a matrix.
+    for a _Band of V'', in band storage with V'' and c V'' kept in the band's
+    neighbour layout; else dense m x m. B x = (x_p, -V'' x_q) is never formed
+    as a matrix.
 
     c V'' is kept, so a complex c does not upcast the real V'' on every
     solve. The momentum block I is the pivot that eliminates x_p, without a
@@ -344,45 +397,54 @@ class _SeparableStep:
     """
 
     def __init__(self, V, c, band):
-        self.V, self.c, self.cV = V, c, c * V
+        self.c, self.band = c, band
         if band is None:
+            self.V, self.cV = V, c * V
             self.lu = lu_factor(np.eye(len(V)) + c * self.cV)
         else:
-            self.lu = lu_factor(_band_storage(c, self.cV, *band), band)
+            self.V, self.cV = band.Vb, c * band.Vb
+            self.lu = lu_factor(_band_storage(c, self.cV, band), band[:2])
+
+    def _times(self, A, x):
+        """A x for A = self.V or self.cV: a matvec, or a band product."""
+        return A @ x if self.band is None else _band_product(A, self.band.near, x)
 
     def solve(self, b):
         """x_q = S^{-1} (b_q + c b_p), x_p = b_p - c V'' x_q."""
         m = len(self.V)
         xq = lu_solve(self.lu, b[:m] + self.c * b[m:])
-        return np.concatenate([xq, b[m:] - self.cV @ xq])
+        return np.concatenate([xq, b[m:] - self._times(self.cV, xq)])
 
-    def sweep(self, hL, L2, rhs):
+    def sweep(self, hL, L2, rhs, products=True):
         """D = [Q | P] with [I - h L (x) B] D = rhs, given hL = h L and
-        L2 = hL hL, and the rows B D_i as B D = [P | -Q V''] (V'' symmetric).
+        L2 = hL hL, and the rows B D_i as B D = [P | -Q V''] (V'' symmetric);
+        with products=False only D.
 
         The momentum rows P = R_p - h L (Q V'') are eliminated for all stages
         at once, leaving Q + h^2 L^2 (Q V'') = R_q + h L R_p; its diagonal
         blocks are S (L_ii = d_s, c = h d_s), so forward substitution makes
-        one lu_solve and one V'' matvec per stage.
+        one lu_solve and one V'' product per stage.
         """
         m = len(self.V)
         Q = rhs[:, :m] + hL @ rhs[:, m:]
         QV = np.empty_like(Q)
         for i in range(len(rhs)):
             Q[i] = lu_solve(self.lu, Q[i] - L2[i, :i] @ QV[:i])
-            QV[i] = self.V @ Q[i]
+            QV[i] = self._times(self.V, Q[i])
         P = rhs[:, m:] - hL @ QV
-        return np.concatenate([Q, P], axis=1), np.concatenate([P, -QV], axis=1)
+        D = np.concatenate([Q, P], axis=1)
+        return (D, np.concatenate([P, -QV], axis=1)) if products else D
 
 
-def _band_storage(c, cV, kl, ku):
-    """S = I + c cV in LAPACK band storage for the bandwidths kl, ku:
-    diagonal d of S in row kl + ku - d, the first kl rows left zero for
-    gbtrf. Only the band of cV is read."""
-    m = len(cV)
-    ab = np.zeros((2 * kl + ku + 1, m), dtype=cV.dtype)
-    for d in range(-kl, ku + 1):
-        ab[kl + ku - d, max(d, 0):m + min(d, 0)] = c * cV.diagonal(d)
+def _band_storage(c, cVb, band):
+    """S = I + c cV'' in LAPACK band storage, from cVb = c V'' in the
+    neighbour layout of band: diagonal d of S in row kl + ku - d, the first kl
+    rows left zero for gbtrf."""
+    kl, ku = band[:2]
+    m = len(cVb)
+    ab = np.zeros((2 * kl + ku + 1, m), dtype=cVb.dtype)
+    for w, d in enumerate(range(-kl, ku + 1)):
+        ab[kl + ku - d, max(d, 0):m + min(d, 0)] = c * cVb[max(-d, 0):m - max(d, 0), w]
     ab[kl + ku] += 1.0
     return ab
 
@@ -401,12 +463,13 @@ def sweep_factor(hess0, h, data):
     a sweep is its block forward substitution, one solve per stage
     (_StageSweep). Either way a step makes one factorization.
     """
-    if not np.all(np.isfinite(hess0)):
+    form = _step_form(hess0)
+    if form is None:
         return None
-    V, band = _step_form(hess0)
+    V, band = form
     if band is not None:
         try:
-            return _BandSweep(V, h, data.L, band)
+            return _BandSweep(band, h, data.L)
         except np.linalg.LinAlgError:
             return None
     facs = _factors(hess0, [h * data.d], V, band)
@@ -415,7 +478,8 @@ def sweep_factor(hess0, h, data):
 
 class _StageSweep:
     """The sweep of a step factor of I - h d_s B, block forward substitution
-    over the stages, with hL = h L and (h L)^2 formed once per step."""
+    over the stages, with hL = h L and (h L)^2 formed once per step; solve
+    skips the products only sweep returns."""
 
     def __init__(self, fac, hL):
         self.fac, self.lu = fac, fac.lu
@@ -425,7 +489,7 @@ class _StageSweep:
         return self.fac.sweep(self.hL, self.L2, rhs)
 
     def solve(self, rhs):
-        return self.sweep(rhs)[0]
+        return self.fac.sweep(self.hL, self.L2, rhs, products=False)
 
 
 class _BandSweep:
@@ -437,17 +501,15 @@ class _BandSweep:
     a 2s + v s + i for v = 0, 1, which gives the matrix the band of
     _sweep_layout. The momenta are not eliminated first: the unreduced system
     keeps the pivoted solve as accurate forward as a dense one. The rows
-    B D_i = (p_i, -V'' q_i) take one product with the band of V'', kept as
-    the m x (kl + ku + 1) array Vb of each node's neighbours.
+    B D_i = (p_i, -V'' q_i) take one band product with the _Band of V''.
     """
 
-    def __init__(self, V, h, L, band):
-        s, m = len(L), len(V)
-        lay = _sweep_layout(m, s, *band)
-        self.near = lay.near
-        self.Vb = np.where(lay.inside, V[lay.node, lay.near], 0.0)
+    def __init__(self, band, h, L):
+        s, m = len(L), len(band.Vb)
+        lay = _sweep_layout(m, s, *band[:2])
+        self.band = band
         # -1 for h L_ij p_j(a) in the q rows, V''_ab for h L_ij q_j(b) in the p rows
-        coef = np.concatenate((np.full(m, -1.0), self.Vb[lay.inside]))
+        coef = np.concatenate((np.full(m, -1.0), band.Vb[band.inside]))
         KL, KU = lay.band
         ab = np.zeros((2 * KL + KU + 1, 2 * m * s))
         ab[KL + KU] = 1.0
@@ -462,19 +524,15 @@ class _BandSweep:
         return x.reshape(m, 2, s).transpose(2, 1, 0).reshape(s, n)
 
     def sweep(self, rhs):
-        D, m = self.solve(rhs), len(self.Vb)
-        VQ = np.einsum("smw,mw->sm", D[:, self.near], self.Vb)
-        return D, np.concatenate([D[:, m:], -VQ], axis=1)
+        D, band = self.solve(rhs), self.band
+        VQ = _band_product(band.Vb, band.near, D)
+        return D, np.concatenate([D[:, len(band.Vb):], -VQ], axis=1)
 
 
 class _SweepLayout(NamedTuple):
     band: tuple             # (KL, KU) of the sweep matrix
     flat: np.ndarray        # flat positions in band storage of the q rows' entries,
                             # then the p rows', each times the entries of L
-    node: np.ndarray        # (m, 1): the nodes a
-    near: np.ndarray        # (m, kl + ku + 1): b = a - kl, ..., a + ku, clipped to [0, m)
-    inside: np.ndarray      # where b is not clipped; V''[a, b] then scales
-                            # h L_ij q_j(b) in the p rows of node a
     i: np.ndarray           # (i, j), j <= i: the entries of L, row by row
     j: np.ndarray
 
@@ -484,21 +542,17 @@ def _sweep_layout(m, s, kl, ku):
     """Where the entries of I - h L (x) B go in LAPACK band storage, for m
     nodes, s stages and the bandwidths kl, ku of V''. Row (a, q, i) holds
     q_i(a) - h sum_j L_ij p_j(a), row (a, p, i) holds
-    p_i(a) + h sum_j L_ij sum_b V''_ab q_j(b); with the unknowns at
-    a 2s + v s + i, the bandwidths are KL = 2s kl + 2s - 1 and
+    p_i(a) + h sum_j L_ij sum_b V''_ab q_j(b), b in _neighbours; with the
+    unknowns at a 2s + v s + i, the bandwidths are KL = 2s kl + 2s - 1 and
     KU = max(s, 2s ku - s)."""
     KL, KU = 2 * s * kl + 2 * s - 1, max(s, 2 * s * ku - s)
     n = 2 * m * s
     i, j = np.tril_indices(s)
-    node = np.arange(m)[:, None]
-    near = node + np.arange(-kl, ku + 1)
-    inside = (near >= 0) & (near < m)
-    near = np.clip(near, 0, m - 1)
+    node, near, inside = _neighbours(m, kl, ku)
     a, b = np.broadcast_to(node, near.shape)[inside], near[inside]
     rows = np.concatenate([(2 * s * node + i).ravel(), (2 * s * a[:, None] + s + i).ravel()])
     cols = np.concatenate([(2 * s * node + s + j).ravel(), (2 * s * b[:, None] + j).ravel()])
-    lay = _SweepLayout((KL, KU), (KL + KU + rows - cols) * n + cols,
-                       node, near, inside, i, j)
+    lay = _SweepLayout((KL, KU), (KL + KU + rows - cols) * n + cols, i, j)
     for arr in lay[1:]:
         arr.flags.writeable = False
     return lay

@@ -83,6 +83,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("argv,golden", [
     (["analyze"], "analyze.csv"),
+    (["analyze", "-s", "1", "2", "3", "4", "5", "6", "--mu", "1", "2", "3", "4", "5", "7"],
+     "analyze_s1-6_mu1-7.csv"),
+    (["analyze", "--mu", "3"], "analyze_mu3.csv"),
     (["tableau", "-k", "6", "-s", "3"], "tableau_k6_s3.csv"),
     (["tableau", "-k", "1", "-s", "1"], "tableau_k1_s1.csv"),
     (["tableau", "-k", "10", "-s", "2"], "tableau_k10_s2.csv"),

@@ -183,6 +183,29 @@ def test_report_evaluates_each_grid_block_once(mus, splittings, monkeypatch):
     assert set(sizes) == {_BLOCK, 1}
 
 
+@pytest.mark.parametrize("s", range(2, 7))
+@pytest.mark.parametrize("mus", [(), (3,), (1, 2, 3), (2, 4)])
+def test_report_computes_rho_only_where_its_maximum_can_be(s, mus, splittings, monkeypatch):
+    # every ||Z^mu||^(1/mu) bounds rho(Z): the scan computes rho(Z) at fewer
+    # than all grid points, and rho* and its argmax are those of rho(Z) at
+    # every point, refined alike
+    data = splittings[s]
+    full = np.concatenate([spectral_radius(iteration_matrix(1j * _GRID[i:i + _BLOCK], data))
+                           for i in range(0, len(_GRID), _BLOCK)])
+    expected = convergence._maximize_on_axis(
+        full, lambda x: spectral_radius(iteration_matrix(1j * x, data)))
+    evaluated = []
+
+    def counting(M):
+        evaluated.append(1 if np.ndim(M) == 2 else len(M))
+        return spectral_radius(M)
+
+    monkeypatch.setattr(convergence, "spectral_radius", counting)
+    rep = amplification_report(data, mus=mus)
+    assert (rep.rho_star, rep.x_star) == expected
+    assert sum(evaluated) < len(_GRID)
+
+
 def test_report_blocks_bound_its_temporaries(splittings):
     # _BLOCK exists to bound the (N, s, s) temporaries of the scan: traced
     # peak about 0.6 MB at s = 6, three mus; one 2000-point batch reaches 3.6 MB

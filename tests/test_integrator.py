@@ -404,24 +404,42 @@ def _counting(system, stacked):
     return dataclasses.replace(system, grad=grad, hess=hess, stacked_grad=stacked), calls
 
 
+# where the NaN goes, given m: in the band of V'' (for the fpu chain), off it
+# but within a band narrow enough for band storage, off it so far that V''
+# is wide, in the momentum rows, on the momentum diagonal and in the momentum
+# columns. Each position reaches the check of its own path: the gathered band
+# for a banded V'', the whole Hessian for every other one
+NAN_AT = {
+    "band": lambda m: (0, 0),
+    "off-band-narrow": lambda m: (0, 2),
+    "off-band-wide": lambda m: (0, m - 1),
+    "momentum-row": lambda m: (m + 1, 0),
+    "momentum-diagonal": lambda m: (m, m),
+    "momentum-column": lambda m: (0, m),
+}
+
+
+@pytest.mark.parametrize("nan_at", NAN_AT)
 @pytest.mark.parametrize("solver,hess_per_step", [("splitting", 2), ("simplified_newton", 1)])
 @pytest.mark.parametrize("factory,h", [(fpu_modified, 0.01), (charged_particle, 0.1)])
-def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver, hess_per_step):
-    # one NaN Hessian entry from the third step on: V'' of the separable fpu
-    # factor (tridiagonal, band storage: S for Newton, the whole sweep matrix
-    # for the splitting), the dense factor of the charged particle; the run
-    # ends at 2h without an exception or a warning, and the counters are the
-    # real calls
+def test_nonfinite_hessian_ends_run_as_a_result(monkeypatch, factory, h, solver, hess_per_step,
+                                                nan_at):
+    # one NaN Hessian entry from the third step on, at each place of NAN_AT:
+    # the separable fpu factor (tridiagonal, band storage: S for Newton, the
+    # whole sweep matrix for the splitting), the dense factor of the charged
+    # particle; the run ends at 2h with no LU made in the third step, without
+    # an exception or a warning, and the counters are the real calls
     import hbvm.nlsolve
 
     base = factory()
+    at = NAN_AT[nan_at](base.m)
     sysm, calls = _counting(base, base.stacked_grad)
     counted_hess = sysm.hess
 
     def hess(y):
         M = counted_hess(y).copy()
         if calls["hess"] > 2 * hess_per_step:
-            M[0, 0] = np.nan
+            M[at] = np.nan
         return M
 
     factors = []

@@ -705,14 +705,17 @@ def test_band_step_factor_solves_and_sweeps_are_backward_stable(m, kl, h, stiffn
             b = b + 1j * rng.standard_normal(2 * m)
         assert _backward_error(np.eye(2 * m) - c * B, fac.solve(b), b) <= 1e-13
     # the splitting's factor: the band LU of the whole sweep matrix when V''
-    # is banded, else the m x m factor above and a per-stage sweep
+    # is banded, else the m x m factor above and a per-stage sweep; the step
+    # factor of c = h d_s sweeps as well, with its band products
     sweep = sweep_factor(hess0, h, data)
     assert sweep.lu.lu.shape == (_sweep_storage(m, s, kl, kl)[0] if banded else (m, m))
     R = rng.standard_normal((s, 2 * m))
-    D, BD = sweep.sweep(R)
     A = np.eye(s * 2 * m) - h * np.kron(data.L, B)
-    assert _backward_error(A, D.ravel(), R.ravel()) <= 1e-13
-    assert np.max(np.abs(BD - D @ B.T)) <= 1e-14 * np.linalg.norm(B, np.inf) * np.max(np.abs(D))
+    hL = h * data.L
+    for D, BD in (sweep.sweep(R), facs[0].sweep(hL, hL @ hL, R)):
+        assert _backward_error(A, D.ravel(), R.ravel()) <= 1e-13
+        assert np.max(np.abs(BD - D @ B.T)) <= 1e-14 * np.linalg.norm(B, np.inf) * np.max(np.abs(D))
+    D, BD = sweep.sweep(R)
     assert np.array_equal(_inner_iteration(sweep, data.T, h, 1)(R), D)
 
 
@@ -751,6 +754,166 @@ def test_band_sweep_is_as_accurate_forward_as_a_dense_solve(h):
 
     band = median_error(lambda r: sweep.sweep(r)[0])
     assert band <= 3.0 * median_error(lambda r: np.linalg.solve(A, r.ravel()))
+
+
+def _parent_structure(hess0):
+    """(separable, kl, ku, finite) from the three separate predicates the
+    structure pass replaces: the exact-zero checks of the momentum rows and
+    columns, np.nonzero bandwidths of V'' and np.isfinite of the whole."""
+    m = len(hess0) // 2
+    finite = bool(np.all(np.isfinite(hess0)))
+    separable = bool(np.all(hess0[m:, m:].diagonal() == 1.0)
+                     and np.count_nonzero(hess0[m:]) == m and not np.any(hess0[:m, m:]))
+    i, j = np.nonzero(hess0[:m, :m])
+    d = j - i
+    return separable, -int(d.min(initial=0)), int(d.max(initial=0)), finite
+
+
+def _assert_one_pass_structure(hess0):
+    import hbvm.nlsolve as nl
+    from hbvm.hamiltonian import separable_hessian
+
+    m = len(hess0) // 2
+    separable, kl, ku, finite = _parent_structure(hess0)
+    nz = hess0 != 0
+    assert separable_hessian(hess0, nz) is separable_hessian(hess0) is separable
+    assert nl._bandwidths(nz[:m, :m]) == (kl, ku)
+    form = nl._step_form(hess0)
+    assert (form is not None) is finite
+    if form is None:
+        return
+    V, band = form
+    assert (V is not None) is separable
+    if band is None:
+        assert not separable or 2 * kl + ku + 1 >= m
+    else:
+        assert separable and (band.kl, band.ku) == (kl, ku) and 2 * kl + ku + 1 < m
+        # the gathered band is V'' inside it and 0 elsewhere
+        node = np.arange(m)[:, None]
+        assert np.array_equal(band.Vb, np.where(band.inside, V[node, band.near], 0.0))
+
+
+def _separable_banded(m, kl, ku, rng):
+    hess0 = np.eye(2 * m)
+    A = rng.standard_normal((m, m))
+    hess0[:m, :m] = np.triu(np.tril(A, ku), -kl)
+    return hess0
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 2.5]
+
+
+@pytest.mark.parametrize("name,m,kl,ku,edits", [
+    ("nan-in-band", 12, 1, 1, [(3, 4, np.nan)]),
+    ("inf-in-band", 12, 1, 1, [(5, 5, np.inf)]),
+    ("minus-inf-in-band", 12, 2, 1, [(7, 5, -np.inf)]),
+    ("nan-off-band-still-narrow", 12, 1, 1, [(0, 3, np.nan)]),
+    ("nan-off-band-wide", 12, 1, 1, [(0, 11, np.nan)]),
+    ("nan-momentum-row", 12, 1, 1, [(13, 2, np.nan)]),
+    ("nan-momentum-column", 12, 1, 1, [(2, 13, np.nan)]),
+    ("nan-momentum-diagonal", 12, 1, 1, [(14, 14, np.nan)]),
+    ("inf-momentum-block", 12, 1, 1, [(15, 14, np.inf)]),
+    ("minus-zero-off-band", 12, 1, 1, [(0, 9, -0.0), (14, 3, -0.0), (3, 15, -0.0)]),
+    ("all-zero-V", 6, 0, 0, [(i, i, 0.0) for i in range(6)]),
+    ("m1", 1, 0, 0, []),
+    ("m1-nan", 1, 0, 0, [(0, 0, np.nan)]),
+    ("asymmetric-band", 16, 3, 1, []),
+    ("wide-band", 10, 4, 4, []),
+])
+def test_structure_pass_matches_the_separate_predicates(name, m, kl, ku, edits):
+    hess0 = _separable_banded(m, kl, ku, np.random.default_rng(m))
+    for i, j, v in edits:
+        hess0[i, j] = v
+    _assert_one_pass_structure(hess0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(m=st.integers(1, 12), kl=st.integers(0, 11), ku=st.integers(0, 11),
+       density=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.floats(0.0, 1.0, exclude_max=True),
+                                st.sampled_from(_SPECIAL)), max_size=3))
+def test_structure_pass_matches_the_separate_predicates_on_random_patterns(
+        m, kl, ku, density, seed, edits):
+    # random sparsity inside a random band of V'', then up to three entries
+    # anywhere set to NaN, +-inf, -0.0, 0.0, 1.0 or 2.5
+    rng = np.random.default_rng(seed)
+    hess0 = _separable_banded(m, kl, ku, rng)
+    hess0[:m, :m] *= rng.random((m, m)) < density
+    for x, y, v in edits:
+        hess0[int(x * 2 * m), int(y * 2 * m)] = v
+    _assert_one_pass_structure(hess0)
+
+
+@pytest.mark.parametrize("make", [step_factors, sweep_factor])
+def test_banded_step_forms_no_m_by_m_array(make):
+    # m = 1024, tridiagonal V'': after the caller's own 2m x 2m hess0, the
+    # traced peak of making the step's factors stays below one m x m float64
+    # (the mask hess0 != 0 is 4 m^2 bytes); a dense c V'', real and complex,
+    # once took 24 m^2
+    import tracemalloc
+
+    m = 1024
+    hess0 = _separable_banded(m, 1, 1, np.random.default_rng(0))
+    hess0[:m, :m] = hess0[:m, :m] + hess0[:m, :m].T + 4.0 * np.eye(m)
+    args = (0.1 * build_tableau(6, 3).eig.lam,) if make is step_factors else (0.1, build_splitting(3))
+    make(hess0, *args)  # warm-up: layouts and lazy allocations
+    tracemalloc.start()
+    try:
+        facs = make(hess0, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert facs
+    assert peak < 8 * m * m
+
+
+class _CountingMatrix:
+    """A matrix whose products A @ x are counted."""
+
+    def __init__(self, A):
+        self.A, self.calls = A, 0
+
+    def __len__(self):
+        return len(self.A)
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.A @ x
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_last_sweep_forms_no_products_nobody_reads(monkeypatch, s):
+    # the last of the mu sweeps (solve) returns D alone: the dense factor
+    # (the charged particle) forms the rows B D_i of stages 0..s-2 only, which
+    # later stages read; the separable per-stage sweep (a wide V'') forms
+    # every V'' Q_i, which P reads, but not [P | -Q V'']. D is bit for bit
+    # the one sweep returns
+    h, data = 0.1, build_splitting(s)
+    R = np.random.default_rng(s).standard_normal((s, 6))
+    dense = sweep_factor(_hess_at_y0(charged_particle()), h, data)
+    dense.fac.B = B = _CountingMatrix(dense.fac.B)
+    D, _ = dense.sweep(R)
+    assert B.calls == s
+    B.calls = 0
+    assert np.array_equal(dense.solve(R), D)
+    assert B.calls == s - 1
+
+    wide = sweep_factor(_random_separable_hess(3, s), h, data)
+    wide.fac.V = V = _CountingMatrix(wide.fac.V)
+    joins = []
+    concatenate = np.concatenate
+
+    def counting(*args, **kwargs):
+        joins.append(1)
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counting)
+    D, _ = wide.sweep(R)
+    assert (V.calls, len(joins)) == (s, 2)
+    V.calls, joins[:] = 0, []
+    assert np.array_equal(wide.solve(R), D)
+    assert (V.calls, len(joins)) == (s, 1)
 
 
 def _reference_dense_sweep(fac, B, hL, rhs):
